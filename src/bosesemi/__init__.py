@@ -7,19 +7,16 @@ action quantization with barrier-tunneling corrections.
 """
 
 from .actions import (
-    ActionData,
     BarrierInfo,
     GeometryError,
     OrbitGeometry,
     SeparatrixError,
     TurningPoint,
     action,
-    action_data,
     barrier,
     classical_range,
     lobe_phases,
     orbit_angle,
-    period,
     period_direct,
     phase_correction,
     tunneling_above,
@@ -40,7 +37,6 @@ from .meanfield import (
 )
 from .model import ModelParams
 from .quantize import (
-    ConditionForm,
     Level,
     QuantizationError,
     SemiclassicalSpectrum,

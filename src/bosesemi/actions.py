@@ -303,15 +303,15 @@ def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
     return _area_of(params, E, comps[0] if lobe == "left" else comps[1], rtol=rtol)
 
 
-def period_direct(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
+def period_direct(params: ModelParams, E, lobe="auto") -> float:
     """Orbit period from the time integral T = hbar * \\int du / sqrt(B)
     with B = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2 + u^2)/2)^2 over the
     orbit's allowed momentum range."""
-    ctx = _context(params)
-    _guard_separatrix(params, E, ctx)
-    segs = _segments(params, E)
-    comps = _components(segs)
-    comp = _pick_component(comps, lobe, ctx)
+    saddle = _context(params)["saddle"]
+    if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
+        raise SeparatrixError("period diverges on the separatrix")
+    comps = _components(_segments(params, E))
+    comp = _pick_component(comps, lobe)
     allowed = [s for s in comp if s[2] == "allowed"]
     if not allowed:
         raise GeometryError("no classically allowed momenta at this energy")
@@ -321,12 +321,12 @@ def period_direct(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
         return 1.0 / np.sqrt(np.maximum(bracket(p), 1e-300))
 
     return float(sum(
-        turning_point_integral(inv_speed, a, b, rtol=max(rtol, 1e-11))
+        turning_point_integral(inv_speed, a, b, rtol=1e-11)
         for a, b, _ in allowed
     ))
 
 
-def _pick_component(comps, lobe, ctx):
+def _pick_component(comps, lobe):
     if lobe in ("auto", "total"):
         if len(comps) != 1:
             raise GeometryError("two orbits at this energy; pick lobe='left' or 'right'")
@@ -334,38 +334,6 @@ def _pick_component(comps, lobe, ctx):
     if len(comps) == 1:
         return comps[0]
     return comps[0] if lobe == "left" else comps[-1]
-
-
-def _guard_separatrix(params, E, ctx):
-    saddle = ctx["saddle"]
-    if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
-        raise SeparatrixError("period diverges on the separatrix")
-
-
-def period(params: ModelParams, E, lobe="auto") -> float:
-    """T = dS/dE by central differences with one Richardson step.
-
-    The stencil is shrunk when the energy sits close to the barrier or to
-    the edges of the classical range so that no evaluation crosses them.
-    """
-    ctx = _context(params)
-    _guard_separatrix(params, E, ctx)
-    scale = params.energy_scale()
-    h = 1e-5 * scale
-    limits = [abs(E - ctx["e_min"]), abs(ctx["e_max"] - E)]
-    saddle = ctx["saddle"]
-    if saddle is not None:
-        limits.append(abs(E - saddle.energy))
-    if saddle is not None and ctx["e_upper_min"] != ctx["e_min"]:
-        limits.append(abs(E - ctx["e_upper_min"]))
-    h = min(h, 0.25 * min(limits))
-    if h <= 0:
-        raise SeparatrixError("energy too close to an orbit-type boundary")
-
-    def d(hh):
-        return (action(params, E + hh, lobe=lobe) - action(params, E - hh, lobe=lobe)) / (2.0 * hh)
-
-    return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +420,23 @@ def phase_correction(tunnel_action) -> float:
 
 def _complex_turning_pair(params: ModelParams, E):
     """The complex-conjugate inner turning points above the barrier."""
-    ns = params.Ns
-    G = params.g * ns
-    A = E / ns - 0.5 * G
-    eps, v = params.eps, params.v
-    roots = quartic_roots(
-        0.25 * G * G, eps * G, eps * eps - A * G + v * v, -2.0 * A * eps, A * A - v * v
-    )
+    roots = quartic_roots(*_turning_quartic(params, E))
     cplx = [r for r in roots if r.imag > 1e-9 * (1.0 + abs(r))]
     if not cplx:
         raise GeometryError("no complex turning-point pair at this energy")
     # The pair continuing the inner turning points lies near the barrier.
-    pc = min(cplx, key=lambda r: abs(r.imag)) * ns * params.hbar
+    pc = min(cplx, key=lambda r: abs(r.imag)) * params.Ns * params.hbar
     return complex(pc)
 
 
 def tunneling_above(params: ModelParams, E):
     """Continuation of the tunneling integral above the barrier.
 
-    Returns (tunnel_action, overbarrier_phase): the former is real and
-    <= 0 (so the tunneling factor exceeds one), the latter the real phase
-    accumulated between the complex pair and the barrier momentum; both
-    vanish as E approaches the barrier top.
+    Returns (tunnel_action, tunnel_factor) as ``tunneling_below`` does.
+    The action is real and <= 0, vanishing at the barrier top, so the
+    factor exp(-pi * tunnel_action) is at least one; it is inf where
+    that exponential would overflow.
     """
-    info = barrier(params)
-    s_eps = tunneling_above_action(params, E)
-    pc = _complex_turning_pair(params, E)
-    qfun = lambda p: 0.5 * np.arccos(_cos2q(params, E, p))
-    half = turning_point_integral(qfun, pc, complex(info.p_barr))
-    s_theta = 2.0 * complex(half).real / params.hbar
-    return s_eps, float(s_theta)
-
-
-def tunneling_above_action(params: ModelParams, E) -> float:
-    """Just the continued tunneling integral, skipping the barrier-phase
-    contour (the quantizer only needs this part)."""
     info = barrier(params)
     if E <= info.e_barr:
         raise GeometryError("energy below the barrier; use tunneling_below")
@@ -499,12 +449,9 @@ def tunneling_above_action(params: ModelParams, E) -> float:
     # half-power feature only at a segment end.
     mid = complex(pc.real, 0.0)
     seg = turning_point_integral(qfun, pcc, mid) + turning_point_integral(qfun, mid, pc)
-    s_eps = ((0.5j * (pc - pcc)) + (-1j / np.pi) * seg) / params.hbar
-    return float(np.real(s_eps))
-
-
-def tunnel_factor_above(params: ModelParams, E):
-    return float(np.exp(-np.pi * tunneling_above_action(params, E)))
+    s_eps = float(np.real(((0.5j * (pc - pcc)) + (-1j / np.pi) * seg) / params.hbar))
+    kappa = float(np.exp(-np.pi * s_eps)) if np.pi * abs(s_eps) < 700 else np.inf
+    return s_eps, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -552,49 +499,3 @@ def lobe_phases(params: ModelParams, E):
         right = _area_of(params, E, rsegs)
     h2 = 2.0 * params.hbar
     return left / h2, right / h2
-
-
-# ---------------------------------------------------------------------------
-# bundled record
-
-
-@dataclass(frozen=True)
-class ActionData:
-    energy: float
-    action: float                  # total enclosed area
-    period: float | None
-    left_phase: float | None       # lobe area / 2 hbar
-    right_phase: float | None
-    tunnel_action: float | None
-    tunnel_factor: float | None
-    connection_phase: float | None
-    overbarrier_phase: float | None
-    geometry: OrbitGeometry
-
-
-def action_data(params: ModelParams, E) -> ActionData:
-    """Gather everything the quantizer needs at one energy."""
-    geo = turning_points(params, E)
-    ctx = _context(params)
-    saddle = ctx["saddle"]
-    left = right = s_eps = kappa = s_phi = s_theta = None
-    if saddle is not None and E > ctx["e_upper_min"]:
-        left, right = lobe_phases(params, E)
-        if E < saddle.energy:
-            s_eps, kappa = tunneling_below(params, E)
-            s_theta = 0.0
-        else:
-            s_eps, s_theta = tunneling_above(params, E)
-            kappa = float(np.exp(-np.pi * s_eps)) if np.pi * abs(s_eps) < 700 else np.inf
-        s_phi = phase_correction(s_eps)
-    total = action(params, E, lobe="total") if len(_components(_segments(params, E))) == 1 \
-        else 2.0 * params.hbar * (left + right)
-    try:
-        T = period(params, E, lobe="auto" if geo.orbit_class != "double_well_pair" else "left")
-    except (SeparatrixError, GeometryError):
-        T = None
-    return ActionData(
-        energy=E, action=total, period=T, left_phase=left, right_phase=right,
-        tunnel_action=s_eps, tunnel_factor=kappa, connection_phase=s_phi,
-        overbarrier_phase=s_theta, geometry=geo,
-    )

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -131,13 +129,7 @@ def _parse_sweep(spec):
 def cmd_sweep(args):
     params = _params(args)
     eps_values = _parse_sweep(args.sweep)
-    threads = int(os.environ.get("BOSESEMI_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda e: sweep_epsilon(params, [e])[0],
-                                   eps_values))
-    else:
-        points = sweep_epsilon(params, eps_values)
+    points = sweep_epsilon(params, eps_values)
     rows = []
     failed = 0
     for pt in points:

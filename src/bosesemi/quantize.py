@@ -2,14 +2,13 @@
 
 Single-region levels solve S(E) = h (n + 1/2) on the monotone action.
 In a double-well landscape the levels between the upper minimum and far
-above the barrier solve a two-region connection condition
+above the barrier solve the two-region connection condition
 
-    sqrt(1 + kappa^2) cos(Sl + Sr - Sphi) = -cos(Sl - Sr + Stheta)
+    sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -cos(Sl - Sr)
 
-with kappa the barrier transmission factor, Sphi the connection phase
-and Stheta the above-barrier phase (zero below).  Writing the condition
-as  Sl + Sr - Sphi = 2 pi k +- alpha(E)  with
-alpha = arccos(-cos(Sl - Sr + Stheta)/sqrt(1 + kappa^2)) turns root
+with kappa the barrier transmission factor and Sphi the connection
+phase.  Writing the condition as  Sl + Sr + Sphi = 2 pi k +- alpha(E)
+with  alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root
 finding into bracketing of monotone-ish phase functions, which resolves
 near-degenerate tunneling doublets that a naive sign scan of the
 condition would miss (the condition only dips below zero by O(kappa^2)
@@ -32,28 +31,7 @@ class QuantizationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionForm:
-    """Switches for the double-well connection formula.
-
-    ``rhs_kappa`` multiplies the right-hand cosine by the tunneling
-    factor (a variant that fails to produce tunneling doublets; kept for
-    cross-checks), ``sign_phi`` orients the connection phase, and
-    ``theta_weight`` scales the above-barrier phase inside the
-    difference argument.  The defaults are fixed by matching reference
-    spectra level by level: the connection phase enters with a plus sign
-    and the above-barrier phase does not enter at all.
-    """
-
-    rhs_kappa: bool = False
-    sign_phi: float = 1.0
-    theta_weight: float = 0.0
-
-
-DEFAULT_CONDITION = ConditionForm()
-
-
-def _bisect(f, a, b, fa=None, fb=None, max_iter=200):
+def _bisect(f, a, b, fa=None, fb=None):
     """Bracketed hybrid secant/bisection root refinement."""
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
@@ -63,7 +41,7 @@ def _bisect(f, a, b, fa=None, fb=None, max_iter=200):
         return b
     if fa * fb > 0:
         raise QuantizationError("root bracket lost")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         # Secant proposal, accepted when it stays safely interior.
         if fb != fa:
@@ -86,7 +64,7 @@ def _bisect(f, a, b, fa=None, fb=None, max_iter=200):
 # single-region quantization
 
 
-def quantize_single(params: ModelParams, n: int, lobe="total") -> float:
+def quantize_single(params: ModelParams, n: int) -> float:
     """Root of S(E) = 2 pi hbar (n + 1/2), exploiting monotonicity."""
     if not 0 <= n <= params.N:
         raise ValueError(f"level index {n} outside 0..{params.N}")
@@ -97,29 +75,26 @@ def quantize_single(params: ModelParams, n: int, lobe="total") -> float:
     b = e_max - 1e-12 * scale
 
     def f(E):
-        return act.action(params, E, lobe=lobe) - target
+        return act.action(params, E, lobe="total") - target
 
     root = _bisect(f, a, b)
     return float(root)
 
 
-def _single_residual(params, E, n, lobe="total"):
-    return abs(act.action(params, E, lobe=lobe) / (2.0 * params.hbar) - np.pi * (n + 0.5))
+def _single_residual(params, E, n):
+    return abs(act.action(params, E, lobe="total") / (2.0 * params.hbar) - np.pi * (n + 0.5))
 
 
 # ---------------------------------------------------------------------------
 # double-well condition
 
 
-def _stable_alpha(delta, kappa, rhs_kappa):
-    """alpha = arccos(-cos(delta) * w) with w = (kappa or 1)/sqrt(1+kappa^2),
-    computed so that near-tangency (alpha near pi) keeps full precision:
+def _stable_alpha(delta, kappa):
+    """alpha = arccos(-cos(delta)/sqrt(1+kappa^2)), computed so that
+    near-tangency (alpha near pi) keeps full precision:
     1 - cos(delta)/sqrt(1+kappa^2) is assembled from two positive terms."""
     if not np.isfinite(kappa) or kappa > 1e150:
         return 0.5 * np.pi
-    if rhs_kappa:
-        y = -np.cos(delta) * kappa / np.hypot(1.0, kappa)
-        return float(np.arccos(np.clip(y, -1.0, 1.0)))
     cosd = np.cos(delta)
     if cosd >= 0.0:
         # alpha = pi - arccos(cosd/sqrt(1+k^2)); the complement's cosine
@@ -132,26 +107,18 @@ def _stable_alpha(delta, kappa, rhs_kappa):
     return float(np.arccos(np.clip(y, -1.0, 1.0)))
 
 
-def _dw_eval(params: ModelParams, E, cond: ConditionForm):
+def _dw_eval(params: ModelParams, E):
     """(psi, alpha) of the connection condition at energy E.
 
-    psi = Sl + Sr + sign_phi * Sphi, and roots sit at psi = 2 pi k +- alpha.
+    psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
+    roots sit at psi = 2 pi k +- alpha.
     """
     info = act.barrier(params)
     left, right = act.lobe_phases(params, E)
-    if E < info.e_barr:
-        s_eps, kappa = act.tunneling_below(params, E)
-        s_theta = 0.0
-    else:
-        if cond.theta_weight:
-            s_eps, s_theta = act.tunneling_above(params, E)
-        else:
-            s_eps, s_theta = act.tunneling_above_action(params, E), 0.0
-        kappa = np.exp(-np.pi * s_eps) if np.pi * abs(s_eps) < 700 else np.inf
-    s_phi = act.phase_correction(s_eps)
-    psi = left + right + cond.sign_phi * s_phi
-    delta = left - right + cond.theta_weight * s_theta
-    return psi, _stable_alpha(delta, kappa, cond.rhs_kappa)
+    tunneling = act.tunneling_below if E < info.e_barr else act.tunneling_above
+    s_eps, kappa = tunneling(params, E)
+    psi = left + right + act.phase_correction(s_eps)
+    return psi, _stable_alpha(left - right, kappa)
 
 
 def _sample_grid(params, e_lo, e_hi, base_points):
@@ -171,14 +138,13 @@ def _sample_grid(params, e_lo, e_hi, base_points):
     return np.array(sorted(grid))
 
 
-def quantize_double(params: ModelParams, cond: ConditionForm = DEFAULT_CONDITION,
-                    refine=0):
-    """All connection-condition roots above the upper well minimum.
+def _phase_grid(params: ModelParams, info: act.BarrierInfo, refine=0):
+    """Energies from just above the upper well minimum to just below the
+    top of the spectrum, with the condition's (psi, alpha) at each.
 
-    Returns a list of (energy, region, residual) sorted in energy;
-    ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
+    The grid is bisected until the psi step between neighbours is
+    resolved; ``refine`` densifies the starting grid.
     """
-    info = act.barrier(params)
     e_min, e_max = act.classical_range(params)
     scale = params.energy_scale()
     e_lo = info.e_min_upper + max(1e-9 * scale, 1e-11)
@@ -192,10 +158,9 @@ def quantize_double(params: ModelParams, cond: ConditionForm = DEFAULT_CONDITION
 
     def ev(E):
         if E not in evals:
-            evals[E] = _dw_eval(params, E, cond)
+            evals[E] = _dw_eval(params, E)
         return evals[E]
 
-    # Refine until the Sigma-phase step between neighbours is resolved.
     work = list(grid)
     for _ in range(24):
         vals = [ev(e) for e in work]
@@ -206,33 +171,56 @@ def quantize_double(params: ModelParams, cond: ConditionForm = DEFAULT_CONDITION
         if not new:
             break
         work = sorted(set(work) | set(new))
+    return work, [ev(e) for e in work]
 
-    roots = []
-    vals = [ev(e) for e in work]
-    guard = 1e-9 * scale
+
+def _bracket_roots(ev, grid, vals, scale):
+    """Roots of psi -+ alpha = 2 pi k between neighbouring grid points.
+
+    ``ev(E)`` returns (psi, alpha) and ``vals[i]`` is its value at
+    ``grid[i]``, or None where it could not be evaluated.  Yields
+    (root, f) per bracketed root, f being the function the root zeroes,
+    in sign, interval, k order.  Yielding lazily keeps each caller's own
+    evaluations interleaved with the bisections.
+    """
     for sign in (+1.0, -1.0):
-        h = np.array([p - sign * a for p, a in vals])
-        for i in range(len(work) - 1):
+        h = [None if v is None else v[0] - sign * v[1] for v in vals]
+        for i in range(len(grid) - 1):
+            if h[i] is None or h[i + 1] is None or abs(grid[i + 1] - grid[i]) < 1e-15 * scale:
+                continue
             k_lo = np.ceil(min(h[i], h[i + 1]) / (2.0 * np.pi) - 1e-12)
             k_hi = np.floor(max(h[i], h[i + 1]) / (2.0 * np.pi) + 1e-12)
             for k in np.arange(k_lo, k_hi + 0.5):
                 target = 2.0 * np.pi * k
 
                 def f(E, t=target, s=sign):
-                    p, a = _dw_eval(params, E, cond)
+                    p, a = ev(E)
                     return p - s * a - t
 
-                if abs(work[i + 1] - work[i]) < 1e-15 * scale:
-                    continue
                 try:
-                    root = _bisect(f, work[i], work[i + 1],
+                    root = _bisect(f, grid[i], grid[i + 1],
                                    fa=h[i] - target, fb=h[i + 1] - target)
                 except QuantizationError:
                     continue
-                if abs(root - info.e_barr) < guard:
-                    root = info.e_barr + guard * (1 if root >= info.e_barr else -1)
-                region = "II" if root < info.e_barr else "III"
-                roots.append((float(root), region, abs(f(root))))
+                yield root, f
+
+
+def quantize_double(params: ModelParams, refine=0):
+    """All connection-condition roots above the upper well minimum.
+
+    Returns a list of (energy, region, residual) sorted in energy;
+    ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
+    """
+    info = act.barrier(params)
+    scale = params.energy_scale()
+    grid, vals = _phase_grid(params, info, refine)
+    roots = []
+    guard = 1e-9 * scale
+    for root, f in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+        if abs(root - info.e_barr) < guard:
+            root = info.e_barr + guard * (1 if root >= info.e_barr else -1)
+        region = "II" if root < info.e_barr else "III"
+        roots.append((float(root), region, abs(f(root))))
     roots.sort()
     # Merge duplicates from adjacent brackets hitting the same root.
     merged = []
@@ -243,7 +231,7 @@ def quantize_double(params: ModelParams, cond: ConditionForm = DEFAULT_CONDITION
     return merged
 
 
-def _recover_boundary_roots(params, cond, info, region1, dbl, missing):
+def _recover_boundary_roots(params, info, region1, dbl):
     """Hunt for connection-condition roots that slipped just below the
     upper well minimum.
 
@@ -266,35 +254,16 @@ def _recover_boundary_roots(params, cond, info, region1, dbl, missing):
     vals = []
     for e in grid:
         try:
-            vals.append(_dw_eval(params, e, cond))
+            vals.append(_dw_eval(params, e))
         except Exception:
             vals.append(None)
     found = list(dbl)
     existing = [e for e, _, _ in dbl] + list(region1)
-    for sign in (+1.0, -1.0):
-        for i in range(len(grid) - 1):
-            if vals[i] is None or vals[i + 1] is None:
-                continue
-            h1 = vals[i][0] - sign * vals[i][1]
-            h2 = vals[i + 1][0] - sign * vals[i + 1][1]
-            k_lo = np.ceil(min(h1, h2) / (2.0 * np.pi) - 1e-12)
-            k_hi = np.floor(max(h1, h2) / (2.0 * np.pi) + 1e-12)
-            for k in np.arange(k_lo, k_hi + 0.5):
-                target = 2.0 * np.pi * k
-
-                def f(E, t=target, s=sign):
-                    p, a = _dw_eval(params, E, cond)
-                    return p - s * a - t
-
-                try:
-                    root = _bisect(f, grid[i], grid[i + 1], fa=h1 - target,
-                                   fb=h2 - target)
-                except QuantizationError:
-                    continue
-                if any(abs(root - e0) < 0.3 * spacing for e0 in existing):
-                    continue
-                found.append((float(root), "I", abs(f(root))))
-                existing.append(float(root))
+    for root, f in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+        if any(abs(root - e0) < 0.3 * spacing for e0 in existing):
+            continue
+        found.append((float(root), "I", abs(f(root))))
+        existing.append(float(root))
     found.sort()
     return found
 
@@ -321,8 +290,7 @@ class SemiclassicalSpectrum:
         return len(self.energies)
 
 
-def semiclassical_spectrum(params: ModelParams,
-                           cond: ConditionForm = DEFAULT_CONDITION) -> SemiclassicalSpectrum:
+def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     """All N + 1 semiclassical levels with region metadata.
 
     Uses plain quantization when the landscape has no saddle at these
@@ -350,7 +318,7 @@ def semiclassical_spectrum(params: ModelParams,
         spacing = (act.classical_range(params)[1] - info.e_min_lower) / (params.N + 1)
         last_err = None
         for attempt in range(5):
-            dbl = quantize_double(params, cond, refine=attempt)
+            dbl = quantize_double(params, refine=attempt)
             missing = params.N + 1 - n_region1 - len(dbl)
             # A level whose plain root sits just above the upper minimum
             # is skipped by both enumerations (its connection-corrected
@@ -366,7 +334,7 @@ def semiclassical_spectrum(params: ModelParams,
                 n_region1 += 1
                 missing -= 1
             if missing > 0:
-                dbl = _recover_boundary_roots(params, cond, info, region1, dbl, missing)
+                dbl = _recover_boundary_roots(params, info, region1, dbl)
                 missing = params.N + 1 - n_region1 - len(dbl)
             if missing == 0:
                 break

@@ -25,9 +25,6 @@ class TridiagonalHamiltonian:
     params: ModelParams
     symmetrized: bool
 
-    def norm(self) -> float:
-        return float(max(np.max(np.abs(self.diag)), np.max(np.abs(self.offdiag))))
-
     def dense(self) -> np.ndarray:
         return (
             np.diag(self.diag)

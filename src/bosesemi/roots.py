@@ -1,15 +1,11 @@
-"""Polynomial root solvers for degree <= 4.
+"""Polynomial roots for degree <= 4.
 
 Turning points and fixed points both reduce to quartic equations after
-squaring a square root; the solvers here return all complex roots so the
-caller can filter squaring artifacts by back-substitution.
-
-`quartic_roots` is the production entry point: companion-matrix roots
-followed by a Newton polish.  The closed-form Ferrari/Cardano solvers
-are kept as an independent cross-check; near double roots they lose
-several digits more than the companion route (root error grows like the
-square root of the residual), which is exactly the regime that matters
-at a bifurcation or a barrier top.
+squaring a square root; `quartic_roots` returns all complex roots so the
+caller can filter squaring artifacts by back-substitution.  It takes the
+companion-matrix roots and polishes them with Newton steps, which stays
+accurate near double roots (a bifurcation or a barrier top), where
+closed-form Ferrari/Cardano roots lose several digits.
 """
 
 from __future__ import annotations
@@ -31,11 +27,11 @@ def quartic_roots(a, b, c, d, e):
     return _polish(coeffs, np.roots(coeffs))
 
 
-def _polish(coeffs, roots, sweeps=3):
+def _polish(coeffs, roots):
     """A few Newton steps on the original polynomial to tighten each root."""
     der = np.polyder(coeffs)
     roots = np.asarray(roots, dtype=complex)
-    for _ in range(sweeps):
+    for _ in range(3):
         fval = np.polyval(coeffs, roots)
         dval = np.polyval(der, roots)
         step = np.where(dval != 0, fval / np.where(dval == 0, 1, dval), 0.0)
@@ -47,99 +43,13 @@ def _polish(coeffs, roots, sweeps=3):
     return roots
 
 
-def solve_quadratic(a, b, c):
-    """Roots of a x^2 + b x + c, numerically stable form."""
-    if a == 0:
-        if b == 0:
-            return np.array([], dtype=complex)
-        return np.array([-c / b], dtype=complex)
-    disc = complex(b * b - 4 * a * c) ** 0.5
-    # Avoid cancellation: pick the large-magnitude numerator first.
-    if (np.conj(b) * disc).real >= 0:
-        qq = -0.5 * (b + disc)
-    else:
-        qq = -0.5 * (b - disc)
-    r1 = qq / a
-    r2 = c / qq if qq != 0 else 0.0 + 0.0j
-    return np.array([r1, r2], dtype=complex)
-
-
-def solve_cubic(a, b, c, d):
-    """All roots of a x^3 + b x^2 + c x + d (Cardano / trigonometric)."""
-    if a == 0:
-        return solve_quadratic(b, c, d)
-    b, c, d = b / a, c / a, d / a
-    # Depressed cubic t^3 + p t + q with x = t - b/3.
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc < 0:
-        # Three real roots.
-        rho = np.sqrt(-(p / 3.0) ** 3)
-        theta = np.arccos(np.clip(-q / (2.0 * rho), -1.0, 1.0)) / 3.0
-        m = 2.0 * np.sqrt(-p / 3.0)
-        t = m * np.cos(theta + np.array([0.0, -2.0, 2.0]) * np.pi / 3.0)
-        roots = t.astype(complex) + shift
-    else:
-        sq = np.sqrt(disc)
-        u = np.cbrt(-q / 2.0 + sq)
-        w = np.cbrt(-q / 2.0 - sq)
-        x0 = (u + w) + shift
-        # Remaining pair from deflating the real root x0.
-        beta = b + x0
-        gamma = c + x0 * beta
-        roots = np.concatenate([[complex(x0)], solve_quadratic(1.0, beta, gamma)])
-    coeffs = np.array([1.0, b, c, d])
-    return _polish(coeffs, roots)
-
-
-def solve_quartic(a, b, c, d, e):
-    """All four roots of a x^4 + b x^3 + c x^2 + d x + e (Ferrari).
-
-    Degenerate leading coefficients fall through to the lower-degree
-    solvers, so the interaction-free case (quartic collapsing to a
-    quadratic) needs no special casing by the caller.
-    """
-    coeffs = np.array([a, b, c, d, e], dtype=float)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0:
-        return np.array([], dtype=complex)
-    if abs(a) <= 1e-14 * scale:
-        return solve_cubic(b, c, d, e)
-    b, c, d, e = b / a, c / a, d / a, e / a
-    # Depressed quartic y^4 + p y^2 + q y + r with x = y - b/4.
-    p = c - 3.0 * b * b / 8.0
-    q = d - b * c / 2.0 + b**3 / 8.0
-    r = e - b * d / 4.0 + b * b * c / 16.0 - 3.0 * b**4 / 256.0
-    shift = -b / 4.0
-    qscale = max(abs(p), abs(r), 1.0)
-    if abs(q) <= 1e-14 * qscale:
-        # Biquadratic.
-        z = solve_quadratic(1.0, p, r)
-        roots = np.concatenate([np.sqrt(z), -np.sqrt(z)]) + shift
-    else:
-        # Resolvent cubic 8 m^3 + 8 p m^2 + (2 p^2 - 8 r) m - q^2 = 0.
-        mroots = solve_cubic(8.0, 8.0 * p, 2.0 * p * p - 8.0 * r, -q * q)
-        mreal = [m.real for m in mroots if abs(m.imag) <= 1e-8 * (1 + abs(m)) and m.real > 0]
-        m = max(mreal) if mreal else max(mroots, key=lambda z: z.real).real
-        if m <= 0:
-            m = abs(m) + 1e-30
-        s = np.sqrt(2.0 * m)
-        # (y^2 + p/2 + m)^2 = 2m (y - q/(4m))^2
-        r1 = solve_quadratic(1.0, -s, p / 2.0 + m + s * q / (4.0 * m))
-        r2 = solve_quadratic(1.0, s, p / 2.0 + m - s * q / (4.0 * m))
-        roots = np.concatenate([r1, r2]) + shift
-    coeffs_monic = np.array([1.0, b, c, d, e])
-    return _polish(coeffs_monic, roots)
-
-
-def real_roots(roots, imag_tol=1e-7):
+def real_roots(roots):
     """Filter (complex) roots down to the real ones.
 
     Near-degenerate real pairs can acquire a small spurious imaginary
-    part; `imag_tol` is relative to the root magnitude.
+    part, so imaginary parts up to 1e-7 relative to the root magnitude
+    count as zero.
     """
     roots = np.asarray(roots, dtype=complex)
-    keep = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots))
+    keep = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))
     return np.sort(roots[keep].real)

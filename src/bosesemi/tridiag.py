@@ -29,6 +29,7 @@ def tridiag_eigh(diag, offdiag, want_vectors=False, max_iter=50):
     if np.asarray(offdiag).size != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}")
     V = np.eye(n) if want_vectors else None
+    eps = np.finfo(float).eps
 
     for l in range(n):
         for iteration in range(max_iter + 1):
@@ -36,7 +37,7 @@ def tridiag_eigh(diag, offdiag, want_vectors=False, max_iter=50):
             m = l
             while m < n - 1:
                 dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= np.finfo(float).eps * dd:
+                if abs(e[m]) <= eps * dd:
                     break
                 m += 1
             if m == l:

@@ -4,6 +4,7 @@ import pytest
 from bosesemi import actions as act
 from bosesemi import meanfield as mf
 from bosesemi.model import ModelParams
+from oracles import period_fd
 
 SUPER21 = ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
 LINEAR = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
@@ -194,6 +195,7 @@ def test_lobe_phases_sum_to_total():
         left, right = act.lobe_phases(SUPER21, E)
         total = act.action(SUPER21, E, "total") / (2.0 * SUPER21.hbar)
         assert left + right == pytest.approx(total, rel=1e-9)
+        assert left == pytest.approx(right, rel=1e-9)  # symmetric wells
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_lobe_phases_sum_to_total():
 
 def test_period_linear_case():
     p0 = ModelParams(N=10, eps=0.0, v=1.0, g=0.0)
-    assert act.period(p0, 0.3) == pytest.approx(np.pi, rel=1e-7)
+    assert period_fd(p0, 0.3) == pytest.approx(np.pi, rel=1e-7)
     assert act.period_direct(p0, 0.3) == pytest.approx(np.pi, rel=1e-10)
 
 
@@ -211,7 +213,7 @@ def test_period_fd_vs_direct():
              (SUPER21, -20.0, "auto"), (LINEAR, 2.0, "auto"),
              (ModelParams(N=10, eps=0.4, v=1.0, g=-3.0 / 11.0), -20.0, "auto")]
     for params, E, lobe in cases:
-        t1 = act.period(params, E, lobe=lobe)
+        t1 = period_fd(params, E, lobe=lobe)
         t2 = act.period_direct(params, E, lobe=lobe)
         assert t1 == pytest.approx(t2, rel=1e-5)
 
@@ -231,7 +233,7 @@ def test_period_diverges_at_separatrix():
           for d in (1.0, 0.1, 0.01, 0.001)]
     assert np.all(np.diff(ts) > 0)
     with pytest.raises(act.SeparatrixError):
-        act.period(SUPER21, info.e_barr)
+        act.period_direct(SUPER21, info.e_barr, lobe="left")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,9 @@ def test_tunneling_below_limits():
 
 def test_tunneling_below_trapezoid_oracle():
     E = -58.0
-    s_eps, _ = act.tunneling_below(SUPER21, E)
+    s_eps, kappa = act.tunneling_below(SUPER21, E)
+    assert kappa == np.exp(-np.pi * s_eps)
+    assert 0 < kappa < 1
     geo = act.turning_points(SUPER21, E)
     a = geo.turning_points[1].p
     b = geo.turning_points[2].p
@@ -278,13 +282,18 @@ def test_tunneling_below_trapezoid_oracle():
 
 def test_tunneling_above_continuity_and_symmetry():
     info = act.barrier(SUPER21)
-    for d in (1e-3, 1e-5):
-        s_below, _ = act.tunneling_below(SUPER21, info.e_barr - d)
-        s_above, s_theta = act.tunneling_above(SUPER21, info.e_barr + d)
+    gaps = []
+    for d in (1e-1, 1e-3, 1e-5):
+        s_below, k_below = act.tunneling_below(SUPER21, info.e_barr - d)
+        s_above, k_above = act.tunneling_above(SUPER21, info.e_barr + d)
         assert s_above < 0
         # Linear through the top with the same slope on both sides.
         assert s_above == pytest.approx(-s_below, rel=1e-2)
-        assert abs(s_theta) < 1e-10  # symmetric wells
+        assert k_above == np.exp(-np.pi * s_above)
+        assert k_below < 1 < k_above
+        gaps.append(max(1.0 - k_below, k_above - 1.0))
+    # Both factors tend to one at the barrier top.
+    assert np.all(np.diff(gaps) < 0) and gaps[-1] < 1e-4
     with pytest.raises(act.GeometryError):
         act.tunneling_above(SUPER21, info.e_barr - 1.0)
 
@@ -292,19 +301,14 @@ def test_tunneling_above_continuity_and_symmetry():
 def test_tunneling_above_asymmetric_real():
     p = ModelParams(N=20, eps=0.5, v=1.0, g=-1.0 / 7.0)
     info = act.barrier(p)
-    s_eps, s_theta = act.tunneling_above(p, info.e_barr + 1.5)
+    s_eps, kappa = act.tunneling_above(p, info.e_barr + 1.5)
     assert s_eps < 0
-    assert np.isfinite(s_theta)
-
-
-def test_action_data_bundle():
-    data = act.action_data(SUPER21, -60.0)
-    assert data.geometry.orbit_class == "double_well_pair"
-    assert data.left_phase == pytest.approx(data.right_phase, rel=1e-9)
-    assert 0 < data.tunnel_factor < 1
-    assert data.overbarrier_phase == 0.0
-    assert data.action == pytest.approx(
-        2 * SUPER21.hbar * (data.left_phase + data.right_phase), rel=1e-12)
-    data3 = act.action_data(SUPER21, -45.0)
-    assert data3.tunnel_factor > 1
-    assert data3.geometry.region == "III"
+    assert kappa == np.exp(-np.pi * s_eps)
+    assert kappa > 1
+    # Near the top of a large spectrum exp(-pi * s) overflows: the factor
+    # is reported as inf instead.
+    big = ModelParams(N=400, eps=0.0, v=1.0, g=-3.0 / 401.0)
+    e_top = act.classical_range(big)[1] - 1e-3 * big.energy_scale()
+    s_top, k_top = act.tunneling_above(big, e_top)
+    assert np.pi * s_top < -700
+    assert k_top == np.inf

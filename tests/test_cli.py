@@ -216,17 +216,6 @@ def test_mutually_exclusive_interaction_flags(capsys):
               "--g-over-ns", "-1"])
 
 
-def test_threaded_sweep_matches_sequential(tmp_path, monkeypatch):
-    args = ["sweep", "--particles", "3", "--g-over-ns", "-2",
-            "--sweep=-0.5:0.5:3"]
-    f1, f2 = tmp_path / "seq.csv", tmp_path / "par.csv"
-    monkeypatch.setenv("BOSESEMI_THREADS", "1")
-    assert main(args + ["--out", str(f1)]) == 0
-    monkeypatch.setenv("BOSESEMI_THREADS", "3")
-    assert main(args + ["--out", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 def test_console_entry_point(capsys):
     # Run in a separate process: the installed `bosesemi` script when there
     # is one, otherwise `python -m bosesemi` from the source tree.

@@ -4,8 +4,8 @@ import pytest
 from bosesemi import actions as act
 from bosesemi.model import ModelParams
 from bosesemi.quantize import (
-    ConditionForm,
-    quantize_double,
+    _bracket_roots,
+    _phase_grid,
     quantize_single,
     semiclassical_spectrum,
     sweep_epsilon,
@@ -124,13 +124,33 @@ def test_hbar_invariance():
         assert np.max(np.abs(e1 - e2)) < 1e-7
 
 
+def _rhs_kappa_condition(params, E):
+    """(psi, alpha) of the rejected variant that multiplies the right-hand
+    cosine by the tunneling factor:
+    sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -kappa cos(Sl - Sr)."""
+    left, right = act.lobe_phases(params, E)
+    below = E < act.barrier(params).e_barr
+    s_eps, kappa = (act.tunneling_below if below else act.tunneling_above)(params, E)
+    psi = left + right + act.phase_correction(s_eps)
+    if kappa > 1e150:
+        return psi, 0.5 * np.pi
+    y = -np.cos(left - right) * kappa / np.hypot(1.0, kappa)
+    return psi, float(np.arccos(np.clip(y, -1.0, 1.0)))
+
+
 def test_printed_condition_variant_misses_doublets():
     # The variant with the tunneling factor multiplying the right-hand
     # cosine cannot reproduce the near-degenerate pairs.
-    bad = ConditionForm(rhs_kappa=True)
     p = TABLE_PARAMS[0.0]
-    roots = quantize_double(p, cond=bad)
-    assert len(roots) != 21
+    scale = p.energy_scale()
+    grid, _ = _phase_grid(p, act.barrier(p))
+    ev = lambda E: _rhs_kappa_condition(p, E)
+    found = sorted(root for root, _ in _bracket_roots(ev, grid, [ev(e) for e in grid], scale))
+    roots = []
+    for r in found:
+        if not roots or r - roots[-1] >= 1e-10 * scale:
+            roots.append(r)
+    assert len(roots) < 21
 
 
 def test_barrier_seam_continuity():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bosesemi.roots import quartic_roots, real_roots, solve_cubic, solve_quadratic, solve_quartic
+from bosesemi.roots import quartic_roots, real_roots
+from oracles import solve_cubic, solve_quadratic, solve_quartic
 
 
 def match_dev(found, expected):
