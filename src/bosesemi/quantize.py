@@ -70,15 +70,14 @@ def quantize_single(params: ModelParams, n: int) -> float:
         raise ValueError(f"level index {n} outside 0..{params.N}")
     e_min, e_max = act.classical_range(params)
     target = 2.0 * np.pi * params.hbar * (n + 0.5)
-    scale = params.energy_scale()
-    a = e_min + 1e-12 * scale
-    b = e_max - 1e-12 * scale
 
     def f(E):
         return act.action(params, E, lobe="total") - target
 
-    root = _bisect(f, a, b)
-    return float(root)
+    # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
+    # at the ends are too small to integrate at full precision.
+    s_max = 2.0 * np.pi * params.hbar * params.Ns
+    return float(_bisect(f, e_min, e_max, fa=-target, fb=s_max - target))
 
 
 def _single_residual(params, E, n):

@@ -4,6 +4,9 @@ The classical weight, the two-branch interference ("primitive") form,
 its forbidden-region tails and the turning-point-regular uniform
 approximation, all sampled on the discrete momentum grid
 p = -N, -N+2, ..., N and renormalized to unit sum there.
+
+The momentum functions take a scalar (returning a float) or an array of
+momenta, and find the orbit at E once per call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from . import actions as act
 from .model import ModelParams
 from .quad import turning_point_integral
 from .quantum import MomentumWavefunction, momentum_grid
-from .quantize import quantize_single
+from .quantize import _bisect, quantize_single
 
 
 def _orbit_interval(params: ModelParams, E):
@@ -31,20 +34,44 @@ def _orbit_interval(params: ModelParams, E):
     return tps[0], tps[-1], geo
 
 
-def _bracket(params: ModelParams, E, p):
-    """v^2 (Ns^2 - u^2) - (E - eps u - g (Ns^2 + u^2)/2)^2; positive on
-    classically allowed momenta, where |dH/dq| = 2 sqrt(bracket)."""
-    u = np.asarray(p, dtype=float) / params.hbar
-    ns = params.Ns
-    return params.v**2 * (ns**2 - u**2) - (
-        E - params.eps * u - 0.5 * params.g * (ns**2 + u**2)
-    ) ** 2
+def _shaped(val, p):
+    """val laid out like the momenta p; a float for a scalar p."""
+    val = np.reshape(val, np.shape(p))
+    return float(val) if val.ndim == 0 else val
 
 
-def _weight_norm(params: ModelParams, E):
-    """Normalization integral of bracket^(-1/2) over the allowed range:
-    exactly the orbit period."""
-    return act.period_direct(params, E, lobe="auto")
+def _weight(params: ModelParams, E, p):
+    """1 / (sqrt|B(p)| T(E)) with B the speed bracket and T the period,
+    the normalization integral of B^(-1/2) over the allowed range."""
+    bracket = act._speed_bracket(params, E)
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.sqrt(np.abs(bracket(p))) * act.period_direct(params, E, lobe="auto"))
+
+
+def _phase(params: ModelParams, E, lo, p):
+    """Phase integral from the lower turning point to each allowed momentum.
+
+    With the lower turning point on the lower potential curve the local
+    wavenumber is pi/2 - q, otherwise q.
+    """
+    if lo.branch == "U-":
+        f = lambda pp: 0.5 * np.pi - act._angle_allowed(params, E, pp)
+    else:
+        f = lambda pp: act._angle_allowed(params, E, pp)
+    return np.array([turning_point_integral(f, lo.p, x, rtol=1e-11) for x in p])
+
+
+def _decay(params: ModelParams, E, lo, hi, p):
+    """Integral of |Im q| from the nearest turning point to each momentum;
+    zero on the allowed interval."""
+    f = lambda pp: act._imag_angle(params, E, pp)
+    out = np.zeros(len(p))
+    for i, x in enumerate(p):
+        if x < lo.p:
+            out[i] = turning_point_integral(f, x, lo.p, rtol=1e-11)
+        elif x > hi.p:
+            out[i] = turning_point_integral(f, hi.p, x, rtol=1e-11)
+    return out
 
 
 def classical_density(params: ModelParams, E, p):
@@ -58,52 +85,28 @@ def classical_density(params: ModelParams, E, p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    val = 1.0 / (np.sqrt(_bracket(params, E, p)) * _weight_norm(params, E))
-    return float(val) if val.ndim == 0 else val
+    return _shaped(_weight(params, E, p.ravel()), p)
 
 
 def action_phase(params: ModelParams, E, p):
     """Half-phase S(p) accumulated from the lower turning point.
 
-    With the lower turning point on the lower potential curve the local
-    wavenumber is pi/2 - q, otherwise q; either way S grows from zero at
-    p- and reaches the half-cycle phase at p+.
+    S grows from zero at p- and reaches the half-cycle phase at p+.
     """
     lo, hi, _ = _orbit_interval(params, E)
-    p = float(p)
-    if not lo.p <= p <= hi.p:
+    p = np.asarray(p, dtype=float)
+    if not np.all((lo.p <= p) & (p <= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    if p == lo.p:
-        return 0.0
-    if lo.branch == "U-":
-        f = lambda pp: 0.5 * np.pi - act._angle_allowed(params, E, pp)
-    else:
-        f = lambda pp: act._angle_allowed(params, E, pp)
-    return float(turning_point_integral(f, lo.p, p, rtol=1e-11))
+    return _shaped(_phase(params, E, lo, p.ravel()), p)
 
 
-def _forbidden_action(params: ModelParams, E, p):
-    """One-sided decay integral of |Im q| from the nearest turning point."""
-    lo, hi, _ = _orbit_interval(params, E)
-    p = float(p)
-    if p < lo.p:
-        a, b = p, lo.p
-    elif p > hi.p:
-        a, b = hi.p, p
-    else:
-        return 0.0
-    return float(turning_point_integral(
-        lambda pp: act._imag_angle(params, E, pp), a, b, rtol=1e-11))
-
-
-def forbidden_tail(params: ModelParams, n, E, p):
+def forbidden_tail(params: ModelParams, E, p):
     """|Psi|^2 in the classically forbidden region: half the (modulus of
     the) classical weight damped by twice the imaginary action."""
-    w_norm = _weight_norm(params, E)
-    p = float(p)
-    br = _bracket(params, E, p)
-    amp = 0.5 / (np.sqrt(abs(br)) * w_norm) if br != 0 else np.inf
-    return float(amp * np.exp(-2.0 * _forbidden_action(params, E, p) / params.hbar))
+    lo, hi, _ = _orbit_interval(params, E)
+    p = np.asarray(p, dtype=float)
+    decay = _decay(params, E, lo, hi, p.ravel())
+    return _shaped(0.5 * _weight(params, E, p.ravel()) * np.exp(-2.0 * decay / params.hbar), p)
 
 
 def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -114,16 +117,13 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
         E = quantize_single(params, n)
     lo, hi, _ = _orbit_interval(params, E)
     grid = momentum_grid(params)
+    p = grid * params.hbar
+    inside = (lo.p < p) & (p < hi.p)
     vals = np.empty_like(grid)
-    w_norm = _weight_norm(params, E)
-    for i, lab in enumerate(grid):
-        p = lab * params.hbar
-        if lo.p < p < hi.p:
-            w = 1.0 / (np.sqrt(_bracket(params, E, p)) * w_norm)
-            s = action_phase(params, E, p)
-            vals[i] = 2.0 * w * np.cos(s / params.hbar - 0.25 * np.pi) ** 2
-        else:
-            vals[i] = forbidden_tail(params, n, E, p)
+    s = action_phase(params, E, p[inside])
+    vals[inside] = 2.0 * classical_density(params, E, p[inside]) * \
+        np.cos(s / params.hbar - 0.25 * np.pi) ** 2
+    vals[~inside] = forbidden_tail(params, E, p[~inside])
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
                                 kind="primitive", state_index=int(n),
                                 energy=float(E))
@@ -161,38 +161,23 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     interval, continued through the decay integral outside it."""
     xi0 = np.sqrt(2.0 * n + 1.0)
     lo, hi, _ = _orbit_interval(params, E)
-    p = float(p)
-    if lo.p <= p <= hi.p:
-        target = action_phase(params, E, p) / params.hbar
-        if target < 0 or target > np.pi * xi0**2 / 2.0 + 1e-9:
-            raise ValueError("phase outside the oscillator mapping range")
-        a, b = -xi0, xi0
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            if _ho_phase(mid, xi0) < target:
-                a = mid
-            else:
-                b = mid
-            if b - a < 1e-12:
-                break
-        return 0.5 * (a + b)
-    # Forbidden side: match the decay integral, growing |xi| beyond xi0.
-    target = _forbidden_action(params, E, p) / params.hbar
-    sign = -1.0 if p < lo.p else 1.0
-    a, b = xi0, xi0 + 1.0
-    while _ho_decay(b, xi0) < target:
-        b += 1.0
-        if b > xi0 + 1e3:
-            break
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        if _ho_decay(mid, xi0) < target:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-12:
-            break
-    return sign * 0.5 * (a + b)
+    p = np.asarray(p, dtype=float)
+    ps = p.ravel()
+    allowed = (lo.p <= ps) & (ps <= hi.p)
+    phase = _phase(params, E, lo, ps[allowed]) / params.hbar
+    top = _ho_phase(xi0, xi0)
+    if np.any((phase < 0) | (phase > top + 1e-9)):
+        raise ValueError("phase outside the oscillator mapping range")
+    xi = np.empty_like(ps)
+    xi[allowed] = [_bisect(lambda x, t=t: _ho_phase(x, xi0) - t, -xi0, xi0)
+                   for t in np.minimum(phase, top)]
+    # Forbidden side: match the decay integral with |xi| beyond xi0; it
+    # exceeds (xi - xi0)^2 / 2, which bounds the root.
+    decay = _decay(params, E, lo, hi, ps[~allowed]) / params.hbar
+    xi[~allowed] = [_bisect(lambda x, t=t: _ho_decay(x, xi0) - t,
+                            xi0, xi0 + 1.0 + np.sqrt(2.0 * t)) for t in decay]
+    xi[ps < lo.p] *= -1.0
+    return _shaped(xi, p)
 
 
 def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -204,27 +189,23 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     """
     if E is None:
         E = quantize_single(params, n)
-    lo, hi, geo = _orbit_interval(params, E)
+    lo, hi, _ = _orbit_interval(params, E)
     if not (lo.branch == "U-" and hi.branch == "U-"):
         raise act.GeometryError(
             "uniform approximation implemented only for orbits with both "
             "turning points on the lower potential curve"
         )
-    xi0sq = 2.0 * n + 1.0
     grid = momentum_grid(params)
-    vals = np.empty_like(grid)
-    w_norm = _weight_norm(params, E)
+    p = grid * params.hbar
     pscale = params.p_max
-    for i, lab in enumerate(grid):
-        p = lab * params.hbar
-        # Nudge off a turning point, where weight and envelope separately
-        # blow up / vanish; the product stays finite either side.
-        if min(abs(p - lo.p), abs(p - hi.p)) < 1e-9 * pscale:
-            p += 1e-6 * pscale * (1.0 if abs(p - lo.p) < abs(p - hi.p) else -1.0)
-        xi = oscillator_coordinate(params, n, E, p)
-        w = 1.0 / (np.sqrt(abs(_bracket(params, E, p))) * w_norm)
-        envelope = abs(w * np.sqrt(abs(xi0sq - xi * xi)))
-        vals[i] = envelope * hermite(n, xi) ** 2 * np.exp(-xi * xi)
+    # Nudge off a turning point, where weight and envelope separately
+    # blow up / vanish; the product stays finite either side.
+    d_lo, d_hi = np.abs(p - lo.p), np.abs(p - hi.p)
+    nudge = 1e-6 * pscale * np.where(d_lo < d_hi, 1.0, -1.0)
+    p = np.where(np.minimum(d_lo, d_hi) < 1e-9 * pscale, p + nudge, p)
+    xi = oscillator_coordinate(params, n, E, p)
+    envelope = np.abs(_weight(params, E, p) * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
+    vals = envelope * hermite(n, xi) ** 2 * np.exp(-xi * xi)
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
                                 kind="uniform", state_index=int(n),
                                 energy=float(E))

@@ -1,0 +1,45 @@
+"""The benchmark harness in perfbench/ must keep working with the package:
+its tracer patches every module it names, and its self-test runs the
+package end to end."""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import bosesemi
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_install_and_uninstall_restore_every_attribute():
+    spans = _load_spans()
+    modules = [bosesemi] + [importlib.import_module(f"bosesemi.{name}")
+                            for name in spans.MODULES]
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)
+        assert patched
+        assert all(getattr(mod, attr) is not val for mod, attr, val in patched)
+    finally:
+        tracer.uninstall()
+    for mod, attr, val in patched:
+        assert getattr(mod, attr) is val
+    for mod, attrs in zip(modules, before):
+        assert all(vars(mod)[name] is val for name, val in attrs.items())
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -22,6 +22,13 @@ def test_single_linear_exact():
     assert quantize_single(p, 3) == pytest.approx(-4.0, abs=1e-8)
     p2 = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
     assert quantize_single(p2, 10) == pytest.approx(10.0 * np.sqrt(1.49), abs=1e-8)
+    # At large N the end levels sit on orbits too small to integrate at
+    # full precision right at the ends of the classical range.
+    for eps in (0.0, 0.7):
+        p3 = ModelParams(N=800, eps=eps, v=1.0, g=0.0)
+        for n in (0, 400, 800):
+            assert quantize_single(p3, n) == pytest.approx(
+                np.sqrt(eps**2 + 1.0) * (2 * n - 800), abs=1e-8)
 
 
 @pytest.mark.parametrize("N", [2, 10, 20])
@@ -34,9 +41,13 @@ def test_linear_case_is_exact(N, eps):
     assert np.max(np.abs(sc - expected)) < 1e-8
 
 
-def test_single_phase_residual():
-    p = ModelParams(N=12, eps=0.3, v=1.0, g=-0.4 / 13.0)
-    for n in (0, 5, 12):
+@pytest.mark.parametrize("N,g_ns,eps,states", [
+    (12, -0.4, 0.3, (0, 5, 12)),
+    (400, -0.6, 0.6, (0, 5, 200, 400)),
+], ids=["N12", "N400"])
+def test_single_phase_residual(N, g_ns, eps, states):
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    for n in states:
         e = quantize_single(p, n)
         resid = abs(act.action(p, e) / (2 * p.hbar) - np.pi * (n + 0.5))
         assert resid < 1e-10

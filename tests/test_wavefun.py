@@ -100,13 +100,39 @@ def test_tail_decays():
     E = quantize_single(BIASED14, n)
     lo, hi, _ = wf._orbit_interval(BIASED14, E)
     ps = np.linspace(hi.p + 0.2, min(hi.p + 8.0, BIASED14.p_max - 0.5), 12)
-    tails = [wf.forbidden_tail(BIASED14, n, E, p) for p in ps]
+    tails = [wf.forbidden_tail(BIASED14, E, p) for p in ps]
     assert np.all(np.diff(tails) < 0)
     # Deep in the forbidden region (outermost grid momentum) the weight is
     # below 1e-8 of the peak.
     prim = wf.primitive_wavefunction(BIASED14, n)
-    deep = wf.forbidden_tail(BIASED14, n, E, BIASED14.N * BIASED14.hbar)
+    deep = wf.forbidden_tail(BIASED14, E, BIASED14.N * BIASED14.hbar)
     assert deep < 1e-8 * prim.values.max()
+
+
+@pytest.mark.parametrize("params", [SYM14, BIASED14], ids=["SYM14", "BIASED14"])
+def test_momentum_arrays_match_scalar_calls(params):
+    n = 1
+    E = quantize_single(params, n)
+    lo, hi, _ = wf._orbit_interval(params, E)
+    inside = np.linspace(lo.p + 0.05 * (hi.p - lo.p), hi.p - 0.05 * (hi.p - lo.p), 5)
+    closed = np.concatenate([[lo.p], inside, [hi.p]])
+    both = np.concatenate([[0.5 * (lo.p - params.p_max)], inside,
+                           [0.5 * (hi.p + params.p_max)]])
+    cases = [
+        (lambda p: wf.classical_density(params, E, p), inside),
+        (lambda p: wf.action_phase(params, E, p), closed),
+        (lambda p: wf.forbidden_tail(params, E, p), both),
+        (lambda p: wf.oscillator_coordinate(params, n, E, p), both),
+    ]
+    for fn, ps in cases:
+        scalars = [fn(float(x)) for x in ps]
+        assert all(type(s) is float for s in scalars)
+        arr = fn(ps)
+        assert isinstance(arr, np.ndarray) and arr.shape == ps.shape
+        assert np.array_equal(arr, scalars)
+    for fn in (wf.classical_density, wf.action_phase):
+        with pytest.raises(ValueError):
+            fn(params, E, both)
 
 
 def test_oscillator_coordinate_special_points():
