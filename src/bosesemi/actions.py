@@ -284,7 +284,12 @@ def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
             raise GeometryError(
                 "two disconnected orbits at this energy; pick lobe='left' or 'right'"
             )
-        return _area_of(params, E, [s for c in comps for s in c], rtol=rtol)
+        saddle = ctx["saddle"]
+        if saddle is None or E < saddle.energy:
+            return _area_of(params, E, [s for c in comps for s in c], rtol=rtol)
+        # Above the barrier the saddle's log singularity lies inside the
+        # contour; split there so that it sits at a segment end.
+        return sum(_area_of(params, E, half, rtol=rtol) for half in _split_at(segs, saddle.p))
     if lobe not in ("left", "right"):
         raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
     if len(comps) == 1:
@@ -384,26 +389,9 @@ def tunneling_below(params: ModelParams, E):
         if kind == "forbidden" and a > -params.p_max + 1e-9 * params.p_max
         and b < params.p_max - 1e-9 * params.p_max
     ]
-    if gaps:
-        a, b = gaps[0]
-    else:
-        # Newborn shallow lobe below turning-point resolution: integrate
-        # from the deep lobe's inner edge to the shallow minimum, where
-        # |Im q| is vanishingly small anyway.
-        ctx = _context(params)
-        minima = [f for f in ctx["fps"] if f.kind == "minimum"]
-        shallow = max(minima, key=lambda f: f.energy)
-        interior = [
-            (a, b) for a, b, kind in segs
-            if kind == "forbidden" and (min(abs(a), abs(b)) < params.p_max * (1 - 1e-9))
-        ]
-        if not interior:
-            raise GeometryError("no interior forbidden gap at this energy")
-        a, b = interior[0]
-        if shallow.p > a:
-            b = min(b, shallow.p)
-        else:
-            a = max(a, shallow.p)
+    if not gaps:
+        raise GeometryError("no interior forbidden gap at this energy")
+    a, b = gaps[0]
     integral = turning_point_integral(lambda p: _imag_angle(params, E, p), a, b)
     s_eps = integral / (np.pi * params.hbar)
     return s_eps, float(np.exp(-np.pi * s_eps))
@@ -458,6 +446,22 @@ def tunneling_above(params: ModelParams, E):
 # dimensionless lobe phases for the quantization condition
 
 
+def _split_at(segs, pb):
+    """The non-forbidden segments left and right of momentum pb."""
+    lsegs, rsegs = [], []
+    for a, b, kind in segs:
+        if kind == "forbidden":
+            continue
+        if b <= pb:
+            lsegs.append((a, b, kind))
+        elif a >= pb:
+            rsegs.append((a, b, kind))
+        else:
+            lsegs.append((a, pb, kind))
+            rsegs.append((pb, b, kind))
+    return lsegs, rsegs
+
+
 def lobe_phases(params: ModelParams, E):
     """Half-action phases (area / 2 hbar) of the left and right regions.
 
@@ -469,33 +473,11 @@ def lobe_phases(params: ModelParams, E):
     segs = _segments(params, E)
     if E < info.e_barr:
         comps = _components(segs)
-        if len(comps) == 2:
-            left = _area_of(params, E, comps[0])
-            right = _area_of(params, E, comps[1])
-        elif len(comps) == 1:
-            # Just above the upper minimum the newborn lobe can fall below
-            # turning-point resolution; its area is then zero.
-            mid = 0.5 * (comps[0][0][0] + comps[0][-1][1])
-            area = _area_of(params, E, comps[0])
-            left, right = (area, 0.0) if mid < info.p_barr else (0.0, area)
-        else:
+        if len(comps) != 2:
             raise GeometryError(
                 f"expected two orbit components below the barrier, found {len(comps)}"
             )
     else:
-        pb = info.p_barr
-        lsegs, rsegs = [], []
-        for a, b, kind in segs:
-            if kind == "forbidden":
-                continue
-            if b <= pb:
-                lsegs.append((a, b, kind))
-            elif a >= pb:
-                rsegs.append((a, b, kind))
-            else:
-                lsegs.append((a, pb, kind))
-                rsegs.append((pb, b, kind))
-        left = _area_of(params, E, lsegs)
-        right = _area_of(params, E, rsegs)
+        comps = _split_at(segs, info.p_barr)
     h2 = 2.0 * params.hbar
-    return left / h2, right / h2
+    return _area_of(params, E, comps[0]) / h2, _area_of(params, E, comps[1]) / h2

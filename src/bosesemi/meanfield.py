@@ -130,9 +130,9 @@ def fixed_points(params: ModelParams):
             hess = _hessian(params, q0, p0)
             lam = np.linalg.eigvalsh(hess)
             degenerate = bool(np.min(np.abs(lam)) < deg_tol)
-            if lam[0] > 0:
+            if lam[0] >= 0:
                 kind = "minimum"
-            elif lam[1] < 0:
+            elif lam[1] <= 0:
                 kind = "maximum"
             else:
                 kind = "saddle"

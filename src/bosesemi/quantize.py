@@ -91,7 +91,9 @@ def _single_residual(params, E, n):
 def _stable_alpha(delta, kappa):
     """alpha = arccos(-cos(delta)/sqrt(1+kappa^2)), computed so that
     near-tangency (alpha near pi) keeps full precision:
-    1 - cos(delta)/sqrt(1+kappa^2) is assembled from two positive terms."""
+    1 - cos(delta)/sqrt(1+kappa^2) is assembled from two positive terms,
+    and pi - alpha = arccos(1 - deficit) is taken as 2 arcsin(sqrt(deficit/2)),
+    which does not round 1 - deficit to 1 when kappa^2 is below roundoff."""
     if not np.isfinite(kappa) or kappa > 1e150:
         return 0.5 * np.pi
     cosd = np.cos(delta)
@@ -100,8 +102,7 @@ def _stable_alpha(delta, kappa):
         # deficit splits into (1 - 1/sqrt(1+k^2)) + (1 - cosd)/sqrt(1+k^2).
         inv = 1.0 / np.hypot(1.0, kappa)
         deficit = -np.expm1(-0.5 * np.log1p(kappa * kappa)) + (1.0 - cosd) * inv
-        y = 1.0 - deficit
-        return float(np.pi - np.arccos(np.clip(y, -1.0, 1.0)))
+        return float(np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * deficit)))
     y = -cosd / np.hypot(1.0, kappa)
     return float(np.arccos(np.clip(y, -1.0, 1.0)))
 
@@ -137,12 +138,12 @@ def _sample_grid(params, e_lo, e_hi, base_points):
     return np.array(sorted(grid))
 
 
-def _phase_grid(params: ModelParams, info: act.BarrierInfo, refine=0):
+def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     """Energies from just above the upper well minimum to just below the
     top of the spectrum, with the condition's (psi, alpha) at each.
 
     The grid is bisected until the psi step between neighbours is
-    resolved; ``refine`` densifies the starting grid.
+    resolved.
     """
     e_min, e_max = act.classical_range(params)
     scale = params.energy_scale()
@@ -150,8 +151,7 @@ def _phase_grid(params: ModelParams, info: act.BarrierInfo, refine=0):
     # Stay clear of the very top, where the outer turning points pinch the
     # above-barrier contour; the highest level sits ~pi/2 in phase below.
     e_hi = e_max - 1e-8 * scale
-    base = (16 + 8 * refine) * (params.N + 1)
-    grid = _sample_grid(params, e_lo, e_hi, base)
+    grid = _sample_grid(params, e_lo, e_hi, 16 * (params.N + 1))
 
     evals = {}
 
@@ -177,15 +177,15 @@ def _bracket_roots(ev, grid, vals, scale):
     """Roots of psi -+ alpha = 2 pi k between neighbouring grid points.
 
     ``ev(E)`` returns (psi, alpha) and ``vals[i]`` is its value at
-    ``grid[i]``, or None where it could not be evaluated.  Yields
-    (root, f) per bracketed root, f being the function the root zeroes,
-    in sign, interval, k order.  Yielding lazily keeps each caller's own
-    evaluations interleaved with the bisections.
+    ``grid[i]``.  Yields (root, f) per bracketed root, f being the
+    function the root zeroes, in sign, interval, k order; f's defaults
+    (2 pi k, sign) name the root's branch.  Yielding lazily keeps each
+    caller's own evaluations interleaved with the bisections.
     """
     for sign in (+1.0, -1.0):
-        h = [None if v is None else v[0] - sign * v[1] for v in vals]
+        h = [v[0] - sign * v[1] for v in vals]
         for i in range(len(grid) - 1):
-            if h[i] is None or h[i + 1] is None or abs(grid[i + 1] - grid[i]) < 1e-15 * scale:
+            if abs(grid[i + 1] - grid[i]) < 1e-15 * scale:
                 continue
             k_lo = np.ceil(min(h[i], h[i + 1]) / (2.0 * np.pi) - 1e-12)
             k_hi = np.floor(max(h[i], h[i + 1]) / (2.0 * np.pi) + 1e-12)
@@ -204,7 +204,7 @@ def _bracket_roots(ev, grid, vals, scale):
                 yield root, f
 
 
-def quantize_double(params: ModelParams, refine=0):
+def quantize_double(params: ModelParams):
     """All connection-condition roots above the upper well minimum.
 
     Returns a list of (energy, region, residual) sorted in energy;
@@ -212,59 +212,22 @@ def quantize_double(params: ModelParams, refine=0):
     """
     info = act.barrier(params)
     scale = params.energy_scale()
-    grid, vals = _phase_grid(params, info, refine)
-    roots = []
+    grid, vals = _phase_grid(params, info)
+    # Each root is keyed by its branch (2 pi k, sign) of
+    # psi - sign * alpha = 2 pi k.  The two roots of a deep tunneling
+    # doublet can lie closer than any energy tolerance, but never on one
+    # branch; a branch yields twice only for a root on a grid point, which
+    # both neighbouring brackets return.
+    roots = {}
     guard = 1e-9 * scale
     for root, f in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+        if f.__defaults__ in roots:
+            continue
         if abs(root - info.e_barr) < guard:
             root = info.e_barr + guard * (1 if root >= info.e_barr else -1)
         region = "II" if root < info.e_barr else "III"
-        roots.append((float(root), region, abs(f(root))))
-    roots.sort()
-    # Merge duplicates from adjacent brackets hitting the same root.
-    merged = []
-    for r in roots:
-        if merged and abs(r[0] - merged[-1][0]) < 1e-10 * scale:
-            continue
-        merged.append(r)
-    return merged
-
-
-def _recover_boundary_roots(params, info, region1, dbl):
-    """Hunt for connection-condition roots that slipped just below the
-    upper well minimum.
-
-    The simple quantization and the connection condition disagree by the
-    small connection-phase correction, so a level sitting right at the
-    region boundary can be skipped by both enumerations: its plain root
-    lies above the upper minimum (hence outside region I) while its
-    corrected root lies below it (outside the condition scan).  The
-    one-component fallbacks in the action layer keep the condition
-    evaluable slightly below the boundary, so the missing roots can be
-    bracketed there.
-    """
-    scale = params.energy_scale()
-    spacing = (info.e_barr - info.e_min_lower) / max(1, params.N // 2)
-    e_hi = info.e_min_upper + 1e-9 * scale
-    e_lo = max(info.e_min_lower + 1e-6 * scale, e_hi - spacing)
-    if e_lo >= e_hi:
-        return dbl
-    grid = np.linspace(e_lo, e_hi, 48)
-    vals = []
-    for e in grid:
-        try:
-            vals.append(_dw_eval(params, e))
-        except Exception:
-            vals.append(None)
-    found = list(dbl)
-    existing = [e for e, _, _ in dbl] + list(region1)
-    for root, f in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
-        if any(abs(root - e0) < 0.3 * spacing for e0 in existing):
-            continue
-        found.append((float(root), "I", abs(f(root))))
-        existing.append(float(root))
-    found.sort()
-    return found
+        roots[f.__defaults__] = (float(root), region, abs(f(root)))
+    return sorted(roots.values())
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +258,7 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     Uses plain quantization when the landscape has no saddle at these
     parameters (whatever the interaction strength); otherwise region-I
     levels come from per-lobe quantization below the upper minimum and
-    the rest from the connection condition, with the sampling refined up
-    to four times if the total count disagrees with the dimension.
+    the rest from the connection condition.
     """
     try:
         info = act.barrier(params)
@@ -315,33 +277,25 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
         n_region1 = int(np.floor(s_um / (2.0 * np.pi * params.hbar) + 0.5))
         region1 = [quantize_single(params, n) for n in range(n_region1)]
         spacing = (act.classical_range(params)[1] - info.e_min_lower) / (params.N + 1)
-        last_err = None
-        for attempt in range(5):
-            dbl = quantize_double(params, refine=attempt)
-            missing = params.N + 1 - n_region1 - len(dbl)
-            # A level whose plain root sits just above the upper minimum
-            # is skipped by both enumerations (its connection-corrected
-            # root falls below the boundary): keep the plain value, which
-            # is how such boundary levels are conventionally assigned.
-            while missing > 0 and n_region1 < params.N + 1:
-                e_next = quantize_single(params, n_region1)
-                if e_next >= info.e_min_upper + 0.1 * spacing:
-                    break
-                if dbl and abs(e_next - dbl[0][0]) < 0.05 * spacing:
-                    break
-                region1.append(e_next)
-                n_region1 += 1
-                missing -= 1
-            if missing > 0:
-                dbl = _recover_boundary_roots(params, info, region1, dbl)
-                missing = params.N + 1 - n_region1 - len(dbl)
-            if missing == 0:
+        dbl = quantize_double(params)
+        missing = params.N + 1 - n_region1 - len(dbl)
+        # A level whose plain root sits just above the upper minimum
+        # is skipped by both enumerations (its connection-corrected
+        # root falls below the boundary): keep the plain value, which
+        # is how such boundary levels are conventionally assigned.
+        while missing > 0 and n_region1 < params.N + 1:
+            e_next = quantize_single(params, n_region1)
+            if e_next >= info.e_min_upper + 0.1 * spacing:
                 break
-            last_err = (f"level count mismatch: region I has {n_region1}, "
-                        f"connection condition found {len(dbl)}, "
-                        f"need {params.N + 1} total")
-        else:
-            raise QuantizationError(last_err)
+            if dbl and abs(e_next - dbl[0][0]) < 0.05 * spacing:
+                break
+            region1.append(e_next)
+            n_region1 += 1
+            missing -= 1
+        if missing != 0:
+            raise QuantizationError(f"level count mismatch: region I has {n_region1}, "
+                                    f"connection condition found {len(dbl)}, "
+                                    f"need {params.N + 1} total")
         for n, e in enumerate(region1):
             geo = act.turning_points(params, e)
             levels.append(Level(e, "I", geo.orbit_class,

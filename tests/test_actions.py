@@ -191,7 +191,8 @@ def test_action_monotone_on_benchmark_sets():
 
 
 def test_lobe_phases_sum_to_total():
-    for E in (-60.0, -45.0, -30.0):
+    info = act.barrier(SUPER21)
+    for E in (-60.0, -45.0, -30.0, info.e_barr + 1e-6 * SUPER21.energy_scale()):
         left, right = act.lobe_phases(SUPER21, E)
         total = act.action(SUPER21, E, "total") / (2.0 * SUPER21.hbar)
         assert left + right == pytest.approx(total, rel=1e-9)

@@ -181,6 +181,20 @@ def test_wavefunction_unsupported_uniform_warns(capsys):
     assert all(r[1] != "" and r[2] != "" for r in rows)
 
 
+def test_wavefunction_deep_symmetric_doublet(capsys):
+    # Bisecting the plain level crosses the barrier top, where the total
+    # action integrates across the saddle; both semiclassical forms are
+    # undefined for a doublet, but the exact column is still printed.
+    code, out, err = run_cli(capsys, "wavefunction", "--particles", "40",
+                             "--g-over-ns", "-3", "--epsilon", "0",
+                             "--state", "0")
+    assert code == 0
+    assert "primitive form unavailable" in err
+    assert "uniform form unavailable" in err
+    _, rows = parse_csv(out)
+    assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_wavefunction_bad_state(capsys):
     code, _, err = run_cli(capsys, "wavefunction", "--particles", "4",
                            "--g", "0", "--state", "9")

@@ -86,6 +86,15 @@ def test_fixed_points_subcritical():
     assert mx.p == pytest.approx(0.0, abs=1e-10) and mx.q == 0.0
 
 
+def test_fixed_points_at_critical_coupling():
+    # At g*Ns = -v exactly the pitchfork point's Hessian has an exactly
+    # zero eigenvalue; it is still the flat-bottomed minimum of one well.
+    p = ModelParams(N=2, eps=0.0, v=1.0, g=-1.0 / 3.0)
+    fps = mf.fixed_points(p)
+    assert [f.kind for f in fps] == ["minimum", "maximum"]
+    assert fps[0].degenerate and fps[0].label == "E-"
+
+
 def test_fixed_points_supercritical_closed_form():
     fps = mf.fixed_points(SUPER21)
     minima = [f for f in fps if f.kind == "minimum"]

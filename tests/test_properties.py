@@ -1,0 +1,29 @@
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from bosesemi import actions as act
+from bosesemi.model import ModelParams
+from bosesemi.quantize import semiclassical_spectrum
+from bosesemi.quantum import exact_spectrum
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(N=st.integers(2, 30),
+       g_ns=st.floats(-12.0, -0.5),
+       eps=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)))
+def test_semiclassical_spectrum_tracks_exact(N, g_ns, eps):
+    # Supercritical interaction across biases, symmetric wells included:
+    # every level is found, in order, within a tenth of a mean spacing.
+    # A doublet split below roundoff (N=17, g*Ns=-12, eps=0: 2 ulp in the
+    # exact spectrum) may give two equal levels.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    sc = semiclassical_spectrum(p).energies
+    ex = exact_spectrum(p).energies
+    e_min, e_max = act.classical_range(p)
+    assert sc.size == N + 1
+    assert np.all(np.diff(sc) >= 0)
+    assert e_min <= sc[0] and sc[-1] <= e_max
+    assert np.max(np.abs(sc - ex)) <= 0.1 * (ex[-1] - ex[0]) / N

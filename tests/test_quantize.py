@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,6 +7,7 @@ from bosesemi.model import ModelParams
 from bosesemi.quantize import (
     _bracket_roots,
     _phase_grid,
+    _stable_alpha,
     quantize_single,
     semiclassical_spectrum,
     sweep_epsilon,
@@ -90,8 +92,27 @@ def test_level_counts_on_benchmark_sets():
              ModelParams(N=10, eps=0.4, v=1.0, g=-3.0 / 11.0),
              ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0),
              ModelParams(N=20, eps=1.0, v=1.0, g=-3.0 / 21.0)]
+    # Symmetric double wells with deep tunneling doublets.
+    doublets = [ModelParams(N=20, eps=0.0, v=1.0, g=-6.0 / 21.0),
+                ModelParams(N=10, eps=0.0, v=1.0, g=-12.0 / 11.0),
+                ModelParams(N=40, eps=0.0, v=1.0, g=-3.0 / 41.0)]
     for p in cases:
         assert len(semiclassical_spectrum(p)) == p.N + 1
+    for p in doublets:
+        sc = semiclassical_spectrum(p).energies
+        ex = exact_spectrum(p).energies
+        assert len(sc) == p.N + 1
+        assert np.max(np.abs(sc - ex)) <= 0.1 * (ex[-1] - ex[0]) / p.N
+
+
+def test_stable_alpha_near_tangency():
+    # At delta = 0, pi - alpha = arctan(kappa): a tunneling factor whose
+    # square is below roundoff must still split a doublet's two branches.
+    with mpmath.workdps(40):
+        for kappa in (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0):
+            for delta in (0.0, 0.3, 2.0):
+                ref = mpmath.acos(-mpmath.cos(delta) / mpmath.sqrt(1 + mpmath.mpf(kappa) ** 2))
+                assert abs(_stable_alpha(delta, kappa) - float(ref)) <= 1e-15
 
 
 def test_pairing_accuracy_benchmark_sets():
