@@ -61,7 +61,6 @@ from .wavefun import (
     action_phase,
     classical_density,
     forbidden_tail,
-    hermite,
     oscillator_coordinate,
     primitive_wavefunction,
     uniform_wavefunction,

@@ -117,20 +117,42 @@ def classical_range(params: ModelParams):
     return ctx["e_min"], ctx["e_max"]
 
 
-def _turning_quartic(params: ModelParams, E):
-    """Coefficients (quartic, highest first) whose roots in s = p/(hbar*Ns)
-    solve [A - eps*s - (G/2) s^2]^2 = v^2 (1 - s^2)."""
+@lru_cache(maxsize=1)
+def _orbit(params: ModelParams, E: float):
+    """The energy contour at E from one solve of the turning quartic
+    [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2) in s = p/(hbar*Ns), as
+    (lead, roots, turning, segments): the quartic's leading nonzero
+    coefficient and roots; the real roots with |s| <= 1 as (p, branch)
+    turning points sorted in p, the sign of the unsquared bracket picking
+    the branch; and [-p_max, p_max] split at them into (a, b, kind) with
+    kind allowed / open (E above the upper potential) / forbidden.
+    Callers pass float(E); consecutive calls at one energy share it."""
     ns = params.Ns
     G = params.g * ns
     A = E / ns - 0.5 * G
     eps, v = params.eps, params.v
-    return (
-        0.25 * G * G,
-        eps * G,
-        eps * eps - A * G + v * v,
-        -2.0 * A * eps,
-        A * A - v * v,
-    )
+    coeffs = np.array([0.25 * G * G, eps * G, eps * eps - A * G + v * v,
+                       -2.0 * A * eps, A * A - v * v])
+    roots = quartic_roots(*coeffs)
+    lead = coeffs[np.abs(coeffs) > 1e-14 * np.max(np.abs(coeffs))][0]
+    turning = []
+    for r in roots:
+        if abs(r.imag) > 1e-9 * (1.0 + abs(r)) or abs(r.real) > 1.0 + 1e-10:
+            continue
+        s = min(1.0, max(-1.0, r.real))
+        branch = "U+" if A - eps * s - 0.5 * G * s * s > 0 else "U-"
+        turning.append((s * ns * params.hbar, branch))
+    turning.sort(key=lambda t: t[0])
+    pmax = params.p_max
+    pts = [-pmax] + [p for p, _ in turning] + [pmax]
+    segs = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b - a <= 1e-13 * pmax:
+            continue
+        xm = float(np.real(_cos2q(params, E, 0.5 * (a + b))))
+        kind = "allowed" if abs(xm) <= 1.0 else ("open" if xm > 1.0 else "forbidden")
+        segs.append((a, b, kind))
+    return lead, roots, tuple(turning), tuple(segs)
 
 
 def _speed_bracket(params: ModelParams, E):
@@ -141,11 +163,7 @@ def _speed_bracket(params: ModelParams, E):
     closed form near turning points (|dH/dq| = 2 sqrt(B) there), which
     matters for large particle numbers.
     """
-    coeffs = np.array(_turning_quartic(params, E), dtype=float)
-    scale = np.max(np.abs(coeffs))
-    nz = np.flatnonzero(np.abs(coeffs) > 1e-14 * scale)
-    lead = coeffs[nz[0]]
-    roots = quartic_roots(*coeffs)
+    lead, roots, _, _ = _orbit(params, float(E))
     ns2 = params.Ns ** 2
 
     def bracket(p):
@@ -158,40 +176,15 @@ def _speed_bracket(params: ModelParams, E):
     return bracket
 
 
-def _turning_momenta(params: ModelParams, E):
-    """Real turning points as (p, branch) pairs, sorted in p.
-
-    Every real root of the turning quartic with |s| <= 1 is a genuine
-    turning point, and the sign of the unsquared bracket selects the
-    branch.
-    """
-    ns = params.Ns
-    G = params.g * ns
-    A = E / ns - 0.5 * G
-    eps, v = params.eps, params.v
-    roots = quartic_roots(*_turning_quartic(params, E))
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
-            continue
-        s = min(1.0, max(-1.0, r.real))
-        if abs(r.real) > 1.0 + 1e-10:
-            continue
-        bracket = A - eps * s - 0.5 * G * s * s
-        branch = "U+" if bracket > 0 else "U-"
-        out.append((s * ns * params.hbar, branch))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
 def turning_points(params: ModelParams, E) -> OrbitGeometry:
     """Turning points with branch labels plus orbit classification."""
     ctx = _context(params)
-    tps = tuple(TurningPoint(p, b) for p, b in _turning_momenta(params, E))
     if E < ctx["e_min"] - 1e-12 * params.energy_scale() or \
        E > ctx["e_max"] + 1e-12 * params.energy_scale():
         return OrbitGeometry(E, (), None, "single",
                              diagnostic="energy outside the classical range")
+    _, _, turning, _ = _orbit(params, float(E))
+    tps = tuple(TurningPoint(p, b) for p, b in turning)
     saddle = ctx["saddle"]
     if saddle is None:
         region = "single"
@@ -215,21 +208,6 @@ def turning_points(params: ModelParams, E) -> OrbitGeometry:
     return OrbitGeometry(E, tps, klass, region)
 
 
-def _segments(params: ModelParams, E):
-    """Partition [-p_max, p_max] at the turning points and classify each
-    interval as allowed / open (E above the upper potential) / forbidden."""
-    pmax = params.p_max
-    pts = [-pmax] + [p for p, _ in _turning_momenta(params, E)] + [pmax]
-    segs = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 1e-13 * pmax:
-            continue
-        xm = float(np.real(_cos2q(params, E, 0.5 * (a + b))))
-        kind = "allowed" if abs(xm) <= 1.0 else ("open" if xm > 1.0 else "forbidden")
-        segs.append((a, b, kind))
-    return segs
-
-
 def _components(segs):
     """Maximal runs of non-forbidden segments (the connected pieces of the
     sublevel set's momentum projection)."""
@@ -246,7 +224,7 @@ def _components(segs):
     return comps
 
 
-def _area_of(params, E, segs, rtol=1e-12):
+def _area_of(params, E, segs):
     """Area of the sublevel set over the given segments."""
     area = 0.0
     for a, b, kind in segs:
@@ -254,7 +232,7 @@ def _area_of(params, E, segs, rtol=1e-12):
             area += np.pi * (b - a)
         elif kind == "allowed":
             area += turning_point_integral(
-                lambda p: np.pi - 2.0 * _angle_allowed(params, E, p), a, b, rtol=rtol
+                lambda p: np.pi - 2.0 * _angle_allowed(params, E, p), a, b
             )
     return area
 
@@ -263,7 +241,7 @@ def _area_of(params, E, segs, rtol=1e-12):
 # the action S(E) and the period
 
 
-def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
+def action(params: ModelParams, E, lobe="auto") -> float:
     """Phase-space area enclosed below the energy contour.
 
     For double-well energies the contour has two components and the
@@ -277,7 +255,7 @@ def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
         return 0.0
     if E >= ctx["e_max"] - 1e-14 * scale:
         return 2.0 * np.pi * params.Ns * params.hbar if lobe in ("auto", "total") else 0.0
-    segs = _segments(params, E)
+    *_, segs = _orbit(params, float(E))
     comps = _components(segs)
     if lobe in ("auto", "total"):
         if len(comps) > 1 and lobe == "auto":
@@ -286,10 +264,10 @@ def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
             )
         saddle = ctx["saddle"]
         if saddle is None or E < saddle.energy:
-            return _area_of(params, E, [s for c in comps for s in c], rtol=rtol)
+            return _area_of(params, E, [s for c in comps for s in c])
         # Above the barrier the saddle's log singularity lies inside the
         # contour; split there so that it sits at a segment end.
-        return sum(_area_of(params, E, half, rtol=rtol) for half in _split_at(segs, saddle.p))
+        return sum(_area_of(params, E, half) for half in _split_at(segs, saddle.p))
     if lobe not in ("left", "right"):
         raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
     if len(comps) == 1:
@@ -302,10 +280,10 @@ def action(params: ModelParams, E, lobe="auto", rtol=1e-12) -> float:
         side = "left" if mid < saddle.p else "right"
         if side != lobe:
             return 0.0
-        return _area_of(params, E, comps[0], rtol=rtol)
+        return _area_of(params, E, comps[0])
     if len(comps) != 2:
         raise GeometryError(f"expected at most two orbit components, found {len(comps)}")
-    return _area_of(params, E, comps[0] if lobe == "left" else comps[1], rtol=rtol)
+    return _area_of(params, E, comps[0] if lobe == "left" else comps[1])
 
 
 def period_direct(params: ModelParams, E, lobe="auto") -> float:
@@ -315,8 +293,8 @@ def period_direct(params: ModelParams, E, lobe="auto") -> float:
     saddle = _context(params)["saddle"]
     if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
         raise SeparatrixError("period diverges on the separatrix")
-    comps = _components(_segments(params, E))
-    comp = _pick_component(comps, lobe)
+    *_, segs = _orbit(params, float(E))
+    comp = _pick_component(_components(segs), lobe)
     allowed = [s for s in comp if s[2] == "allowed"]
     if not allowed:
         raise GeometryError("no classically allowed momenta at this energy")
@@ -383,7 +361,7 @@ def tunneling_below(params: ModelParams, E):
         raise GeometryError("energy above the barrier; use tunneling_above")
     if E <= info.e_min_lower:
         raise GeometryError("no tunneling geometry below the well bottoms")
-    segs = _segments(params, E)
+    *_, segs = _orbit(params, float(E))
     gaps = [
         (a, b) for a, b, kind in segs
         if kind == "forbidden" and a > -params.p_max + 1e-9 * params.p_max
@@ -408,7 +386,7 @@ def phase_correction(tunnel_action) -> float:
 
 def _complex_turning_pair(params: ModelParams, E):
     """The complex-conjugate inner turning points above the barrier."""
-    roots = quartic_roots(*_turning_quartic(params, E))
+    _, roots, _, _ = _orbit(params, float(E))
     cplx = [r for r in roots if r.imag > 1e-9 * (1.0 + abs(r))]
     if not cplx:
         raise GeometryError("no complex turning-point pair at this energy")
@@ -470,7 +448,7 @@ def lobe_phases(params: ModelParams, E):
     momentum.  Either way their sum is the total sublevel area / 2 hbar.
     """
     info = barrier(params)
-    segs = _segments(params, E)
+    *_, segs = _orbit(params, float(E))
     if E < info.e_barr:
         comps = _components(segs)
         if len(comps) != 2:

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+_N0, _NMAX = 64, 4096  # node counts of the first and the last rule tried
+
 
 class QuadratureError(RuntimeError):
     pass
@@ -26,7 +28,7 @@ def _gl_nodes(n):
     return theta, 0.25 * np.pi * w
 
 
-def turning_point_integral(f, a, b, rtol=1e-12, n0=64, nmax=4096):
+def turning_point_integral(f, a, b, rtol=1e-12):
     """Integrate f over the straight segment [a, b] (endpoints may be
     complex) using the sin^2 endpoint substitution.
 
@@ -43,8 +45,8 @@ def turning_point_integral(f, a, b, rtol=1e-12, n0=64, nmax=4096):
         return 0.0
     prev = None
     prev_delta = None
-    n = n0
-    while n <= nmax:
+    n = _N0
+    while n <= _NMAX:
         theta, w = _gl_nodes(n)
         s = np.sin(theta) ** 2
         pts = a + span * s
@@ -67,7 +69,7 @@ def turning_point_integral(f, a, b, rtol=1e-12, n0=64, nmax=4096):
         n *= 2
     else:
         raise QuadratureError(
-            f"quadrature did not converge to rtol={rtol} by n={nmax} nodes"
+            f"quadrature did not converge to rtol={rtol} by n={_NMAX} nodes"
         )
     if is_real:
         return float(val.real) if np.iscomplexobj(val) else float(val)

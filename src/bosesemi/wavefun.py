@@ -129,18 +129,20 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
                                 energy=float(E))
 
 
-def hermite(n, x):
-    """Physicists' Hermite polynomial by the three-term recurrence."""
-    if n < 0 or int(n) != n:
-        raise ValueError("order must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, int(n)):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
+def _hermite_weight(n, xi):
+    """H_n(xi)^2 e^(-xi^2) / (2^n n!) by the recurrence of the normalised
+    Hermite functions (DLMF 18.9), f_{k+1} = sqrt(2/(k+1)) xi f_k -
+    sqrt(k/(k+1)) f_{k-1}, with e^(-xi^2/2) carried as a log scale that
+    absorbs f whenever it passes 1e150, so no order overflows."""
+    xi = np.asarray(xi, dtype=float)
+    f_prev, f = np.zeros_like(xi), np.ones_like(xi)
+    log_scale = -0.5 * xi * xi
+    for k in range(int(n)):
+        f_prev, f = f, np.sqrt(2.0 / (k + 1)) * xi * f - np.sqrt(k / (k + 1)) * f_prev
+        rescale = np.where(np.abs(f) > 1e150, 1e-150, 1.0)
+        f_prev, f, log_scale = f_prev * rescale, f * rescale, log_scale - np.log(rescale)
+    with np.errstate(divide="ignore"):
+        return np.exp(2.0 * (log_scale + np.log(np.abs(f))))
 
 
 def _ho_phase(xi, xi0):
@@ -205,7 +207,7 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     p = np.where(np.minimum(d_lo, d_hi) < 1e-9 * pscale, p + nudge, p)
     xi = oscillator_coordinate(params, n, E, p)
     envelope = np.abs(_weight(params, E, p) * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
-    vals = envelope * hermite(n, xi) ** 2 * np.exp(-xi * xi)
+    vals = envelope * _hermite_weight(n, xi)
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
                                 kind="uniform", state_index=int(n),
                                 energy=float(E))

@@ -186,7 +186,7 @@ def test_action_monotone_on_benchmark_sets():
     for params in BENCH_SETS:
         e_min, e_max = act.classical_range(params)
         es = np.linspace(e_min + 1e-6, e_max - 1e-6, 200)
-        s = [act.action(params, e, lobe="total", rtol=1e-11) for e in es]
+        s = [act.action(params, e, lobe="total") for e in es]
         assert np.all(np.diff(s) > 0)
 
 
@@ -201,6 +201,38 @@ def test_lobe_phases_sum_to_total():
 
 # ---------------------------------------------------------------------------
 # period
+
+
+def test_one_quartic_solve_per_energy(monkeypatch):
+    # Every quantity at one energy reads the same solve of the turning
+    # quartic; the memo is keyed on the parameters as well as on E.
+    from bosesemi import quantize
+    from bosesemi import wavefun as wf
+
+    real, calls = act.quartic_roots, []
+    monkeypatch.setattr(act, "quartic_roots", lambda *c: calls.append(c) or real(*c))
+
+    def solves(fn, *args):
+        act._orbit.cache_clear()
+        calls.clear()
+        out = fn(*args)
+        return len(calls), out
+
+    assert solves(quantize._dw_eval, SUPER21, -60.0)[0] == 1
+    assert solves(quantize._dw_eval, SUPER21, -45.0)[0] == 1
+    sym = BENCH_SETS[3]
+    E = quantize.quantize_single(sym, 2)
+    assert solves(act.period_direct, sym, E)[0] == 1
+    assert solves(wf.primitive_wavefunction, sym, 2, E)[0] == 1
+    assert solves(wf.uniform_wavefunction, sym, 2, E)[0] == 1
+
+    other = ModelParams(N=20, eps=0.2, v=1.0, g=-1.0 / 7.0)
+    act._orbit.cache_clear()
+    calls.clear()
+    both = [act.lobe_phases(params, -55.0) for params in (SUPER21, other)]
+    assert len(calls) == 2
+    assert both == [solves(act.lobe_phases, params, -55.0)[1] for params in (SUPER21, other)]
+    assert act.action(sym, np.array(E)) == act.action(sym, E)
 
 
 def test_period_linear_case():

@@ -39,6 +39,24 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         assert all(vars(mod)[name] is val for name, val in attrs.items())
 
 
+def test_tracer_counts_quartic_solves_behind_the_orbit_memo():
+    # The memo wrapper itself is not traced; the solve inside it is,
+    # because it looks quartic_roots up in the actions module's globals.
+    spans = _load_spans()
+    params = bosesemi.ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
+    bosesemi.barrier(params)  # fixed points cached before tracing
+    bosesemi.actions._orbit.cache_clear()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, err, _ = tracer.run_op("lobe-and-tunnel", lambda: (
+            bosesemi.lobe_phases(params, -60.0), bosesemi.tunneling_below(params, -60.0)))
+    finally:
+        tracer.uninstall()
+    assert err is None
+    assert tracer.quartic_calls == 1
+
+
 def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=300)

@@ -12,14 +12,31 @@ BIASED14 = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
 SYM14 = ModelParams(N=14, eps=0.0, v=1.0, g=-0.9 / 15.0)
 
 
-def test_hermite_values():
-    assert wf.hermite(0, 0.7) == 1.0
-    assert wf.hermite(1, 0.7) == pytest.approx(1.4)
-    assert wf.hermite(2, 1.0) == pytest.approx(2.0)
-    mpmath.mp.dps = 30
-    assert wf.hermite(10, 0.3) == pytest.approx(float(mpmath.hermite(10, 0.3)), rel=1e-12)
-    with pytest.raises(ValueError):
-        wf.hermite(-1, 0.0)
+def test_hermite_weight_against_mpmath():
+    # H_n(xi)^2 e^(-xi^2) / (2^n n!) at orders whose plain Hermite
+    # recurrence overflows, inside and past the turning point sqrt(2n+1).
+    mpmath.mp.dps = 50
+    for n in (0, 1, 2, 10, 90, 400, 1500):
+        xi0 = np.sqrt(2.0 * n + 1.0)
+        for xi in np.linspace(-1.3 * xi0 - 2.0, 1.3 * xi0 + 2.0, 37):
+            x = mpmath.mpf(float(xi))
+            ref = mpmath.hermite(n, x) ** 2 * mpmath.exp(-x * x) / (2 ** n * mpmath.factorial(n))
+            got = wf._hermite_weight(n, xi)
+            if ref > 1e-300:
+                assert got == pytest.approx(float(ref), rel=2e-12)
+            else:
+                assert 0.0 <= got <= 1e-299
+
+
+def test_uniform_finite_at_high_excitation():
+    # N=300, n=120: the unnormalised Hermite polynomial overflowed here
+    # and left zeros and NaNs in the uniform form.
+    params = ModelParams(N=300, eps=0.0, v=1.0, g=0.0)
+    uni = wf.uniform_wavefunction(params, 120)
+    assert np.all(np.isfinite(uni.values)) and np.all(uni.values > 0)
+    assert uni.values.sum() == pytest.approx(1.0, abs=1e-12)
+    ex = momentum_representation(exact_spectrum(params, want_vectors=True), 120)
+    assert np.max(np.abs(uni.values - ex.values)) < 1e-4  # measured 6.0e-5; peak 0.027
 
 
 def test_classical_density_symmetry_and_norm():
