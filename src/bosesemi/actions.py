@@ -244,10 +244,13 @@ def _area_of(params, E, segs):
 def action(params: ModelParams, E, lobe="auto") -> float:
     """Phase-space area enclosed below the energy contour.
 
-    For double-well energies the contour has two components and the
-    caller picks ``lobe`` in {"left", "right"}; otherwise the single
-    component ("total") is returned.  Grows from 0 at the bottom of the
-    spectrum to 2*pi*Ns*hbar at the top.
+    ``lobe="total"`` is the whole sublevel area, which grows from 0 at
+    the bottom of the spectrum to 2*pi*Ns*hbar at the top; ``"auto"`` is
+    the same but raises ``GeometryError`` where the contour has two
+    components.  ``"left"`` and ``"right"`` pick one of exactly two
+    components and raise ``GeometryError`` otherwise: below the upper
+    well minimum the contour has one component, and the quantizer uses
+    the total area there.
     """
     ctx = _context(params)
     scale = params.energy_scale()
@@ -270,19 +273,8 @@ def action(params: ModelParams, E, lobe="auto") -> float:
         return sum(_area_of(params, E, half) for half in _split_at(segs, saddle.p))
     if lobe not in ("left", "right"):
         raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
-    if len(comps) == 1:
-        # Single component: treat it as whichever side of the barrier
-        # momentum it lies on (useful in region I where one well is empty).
-        saddle = ctx["saddle"]
-        if saddle is None:
-            raise GeometryError("no barrier; lobe selection is meaningless")
-        mid = 0.5 * (comps[0][0][0] + comps[0][-1][1])
-        side = "left" if mid < saddle.p else "right"
-        if side != lobe:
-            return 0.0
-        return _area_of(params, E, comps[0])
     if len(comps) != 2:
-        raise GeometryError(f"expected at most two orbit components, found {len(comps)}")
+        raise GeometryError(f"expected two orbit components, found {len(comps)}")
     return _area_of(params, E, comps[0] if lobe == "left" else comps[1])
 
 

@@ -1,15 +1,19 @@
 """Semiclassical spectrum assembly.
 
-Single-region levels solve S(E) = h (n + 1/2) on the monotone action.
-In a double-well landscape the levels between the upper minimum and far
-above the barrier solve the two-region connection condition
+Single-well landscapes solve S(E) = h (n + 1/2) on the monotone action.
+A double-well landscape solves one condition over its whole spectrum,
+the two-region connection condition
 
     sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -cos(Sl - Sr)
 
 with kappa the barrier transmission factor and Sphi the connection
-phase.  Writing the condition as  Sl + Sr + Sphi = 2 pi k +- alpha(E)
-with  alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root
-finding into bracketing of monotone-ish phase functions, which resolves
+phase.  Up to the upper well minimum, and wherever the upper lobe is
+still too narrow to resolve, that lobe is empty (Sr = 0, kappa = 0,
+Sphi = 0) and the condition reduces to the plain rule
+S = 2 pi hbar (n + 1/2).  Writing the condition as
+Sl + Sr + Sphi = 2 pi k +- alpha(E)  with
+alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root finding
+into bracketing of monotone-ish phase functions, which resolves
 near-degenerate tunneling doublets that a naive sign scan of the
 condition would miss (the condition only dips below zero by O(kappa^2)
 at a deep doublet).
@@ -111,9 +115,15 @@ def _dw_eval(params: ModelParams, E):
     """(psi, alpha) of the connection condition at energy E.
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
-    roots sit at psi = 2 pi k +- alpha.
+    roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
+    and below the barrier while the contour has fewer than two
+    components, the upper lobe is empty: psi = S/2 hbar and kappa = 0.
     """
     info = act.barrier(params)
+    *_, segs = act._orbit(params, float(E))
+    if E <= info.e_min_upper or (E < info.e_barr and len(act._components(segs)) < 2):
+        half = act.action(params, E, lobe="total") / (2.0 * params.hbar)
+        return half, _stable_alpha(half, 0.0)
     left, right = act.lobe_phases(params, E)
     tunneling = act.tunneling_below if E < info.e_barr else act.tunneling_above
     s_eps, kappa = tunneling(params, E)
@@ -123,10 +133,14 @@ def _dw_eval(params: ModelParams, E):
 
 def _sample_grid(params, e_lo, e_hi, base_points):
     """Sampling grid for the phase functions, refined geometrically toward
-    the barrier where the phase varies logarithmically."""
+    the barrier where the phase varies logarithmically.  The upper well
+    minimum is a grid point: a lower-well level can sit on it, and only
+    the condition's value right there brackets that level."""
     info = act.barrier(params)
     scale = params.energy_scale()
     grid = list(np.linspace(e_lo, e_hi, base_points))
+    if e_lo < info.e_min_upper < e_hi:
+        grid.append(info.e_min_upper)
     if e_lo < info.e_barr < e_hi:
         for j in range(2, 9):
             d = 10.0 ** (-j) * scale
@@ -139,7 +153,7 @@ def _sample_grid(params, e_lo, e_hi, base_points):
 
 
 def _phase_grid(params: ModelParams, info: act.BarrierInfo):
-    """Energies from just above the upper well minimum to just below the
+    """Energies from just above the lower well minimum to just below the
     top of the spectrum, with the condition's (psi, alpha) at each.
 
     The grid is bisected until the psi step between neighbours is
@@ -147,7 +161,7 @@ def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     """
     e_min, e_max = act.classical_range(params)
     scale = params.energy_scale()
-    e_lo = info.e_min_upper + max(1e-9 * scale, 1e-11)
+    e_lo = info.e_min_lower + max(1e-9 * scale, 1e-11)
     # Stay clear of the very top, where the outer turning points pinch the
     # above-barrier contour; the highest level sits ~pi/2 in phase below.
     e_hi = e_max - 1e-8 * scale
@@ -205,10 +219,12 @@ def _bracket_roots(ev, grid, vals, scale):
 
 
 def quantize_double(params: ModelParams):
-    """All connection-condition roots above the upper well minimum.
+    """Every connection-condition root of a double-well landscape, the
+    plain region-I levels below the upper minimum included.
 
-    Returns a list of (energy, region, residual) sorted in energy;
-    ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
+    Returns a list of (energy, region, residual) sorted in energy, the
+    region as ``turning_points`` assigns it; ``residual`` is the phase
+    mismatch |psi - (2 pi k +- alpha)|.
     """
     info = act.barrier(params)
     scale = params.energy_scale()
@@ -225,8 +241,8 @@ def quantize_double(params: ModelParams):
             continue
         if abs(root - info.e_barr) < guard:
             root = info.e_barr + guard * (1 if root >= info.e_barr else -1)
-        region = "II" if root < info.e_barr else "III"
-        roots[f.__defaults__] = (float(root), region, abs(f(root)))
+        roots[f.__defaults__] = (float(root), act.turning_points(params, root).region,
+                                 abs(f(root)))
     return sorted(roots.values())
 
 
@@ -256,9 +272,9 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     """All N + 1 semiclassical levels with region metadata.
 
     Uses plain quantization when the landscape has no saddle at these
-    parameters (whatever the interaction strength); otherwise region-I
-    levels come from per-lobe quantization below the upper minimum and
-    the rest from the connection condition.
+    parameters (whatever the interaction strength); otherwise every level
+    is a root of the one connection condition (``quantize_double``),
+    which reduces to the plain rule below the upper minimum.
     """
     try:
         info = act.barrier(params)
@@ -272,38 +288,13 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
             levels.append(Level(e, "single", geo.orbit_class,
                                 _single_residual(params, e, n)))
     else:
-        s_um = act.action(params, info.e_min_upper - 1e-12 * params.energy_scale(),
-                          lobe="total")
-        n_region1 = int(np.floor(s_um / (2.0 * np.pi * params.hbar) + 0.5))
-        region1 = [quantize_single(params, n) for n in range(n_region1)]
-        spacing = (act.classical_range(params)[1] - info.e_min_lower) / (params.N + 1)
         dbl = quantize_double(params)
-        missing = params.N + 1 - n_region1 - len(dbl)
-        # A level whose plain root sits just above the upper minimum
-        # is skipped by both enumerations (its connection-corrected
-        # root falls below the boundary): keep the plain value, which
-        # is how such boundary levels are conventionally assigned.
-        while missing > 0 and n_region1 < params.N + 1:
-            e_next = quantize_single(params, n_region1)
-            if e_next >= info.e_min_upper + 0.1 * spacing:
-                break
-            if dbl and abs(e_next - dbl[0][0]) < 0.05 * spacing:
-                break
-            region1.append(e_next)
-            n_region1 += 1
-            missing -= 1
-        if missing != 0:
-            raise QuantizationError(f"level count mismatch: region I has {n_region1}, "
-                                    f"connection condition found {len(dbl)}, "
-                                    f"need {params.N + 1} total")
-        for n, e in enumerate(region1):
-            geo = act.turning_points(params, e)
-            levels.append(Level(e, "I", geo.orbit_class,
-                                _single_residual(params, e, n)))
+        if len(dbl) != params.N + 1:
+            raise QuantizationError(f"level count mismatch: connection condition found "
+                                    f"{len(dbl)}, need {params.N + 1}")
         for e, region, resid in dbl:
             geo = act.turning_points(params, e)
             levels.append(Level(e, region, geo.orbit_class, resid))
-    levels.sort(key=lambda l: l.energy)
     return SemiclassicalSpectrum(
         params=params,
         energies=np.array([l.energy for l in levels]),

@@ -182,6 +182,18 @@ def test_action_lobe_bookkeeping():
         act.action(SUPER21, -60.0, lobe="auto")
 
 
+def test_lobe_area_needs_two_components():
+    # Below the upper well minimum the contour has one component; a lobe
+    # area is undefined there, and the total area is the action.
+    p = ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)
+    info = act.barrier(p)
+    E = 0.5 * (info.e_min_lower + info.e_min_upper)
+    assert act.action(p, E, lobe="total") > 0.0
+    for lobe in ("left", "right"):
+        with pytest.raises(act.GeometryError):
+            act.action(p, E, lobe=lobe)
+
+
 def test_action_monotone_on_benchmark_sets():
     for params in BENCH_SETS:
         e_min, e_max = act.classical_range(params)

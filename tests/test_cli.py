@@ -195,6 +195,25 @@ def test_wavefunction_deep_symmetric_doublet(capsys):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_wavefunction_quantizes_the_level_once(capsys, monkeypatch):
+    # Both semiclassical forms are built at one quantized energy.
+    from bosesemi import cli, quantize, wavefun
+    original = quantize.quantize_single
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    for mod in (bosesemi, cli, quantize, wavefun):
+        if getattr(mod, "quantize_single", None) is original:
+            monkeypatch.setattr(mod, "quantize_single", counted)
+    code, _, _ = run_cli(capsys, "wavefunction", "--particles", "14", "--g-over-ns",
+                         "-0.6", "--epsilon", "0.6", "--state", "0", "--method", "both")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_wavefunction_bad_state(capsys):
     code, _, err = run_cli(capsys, "wavefunction", "--particles", "4",
                            "--g", "0", "--state", "9")

@@ -69,6 +69,22 @@ def test_reference_semiclassical_n20(eps):
     assert np.max(np.abs(sc - ref)) <= 2e-3
 
 
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.5), (5, -6.0, 0.5), (20, -6.0, 1.0)])
+def test_level_on_the_upper_minimum(N, g_ns, eps):
+    # A lower-well level sits on the upper well minimum at these biases.
+    # Only the grid point there brackets it; its region follows its energy.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    spec = semiclassical_spectrum(p)
+    assert len(spec) == N + 1
+    dist = np.abs(spec.energies - act.barrier(p).e_min_upper)
+    i = int(np.argmin(dist))
+    assert dist[i] <= 1e-12 * p.energy_scale()
+    for level in spec.levels:
+        assert level.region == act.turning_points(p, level.energy).region
+    ex = exact_spectrum(p).energies
+    assert abs(spec.energies[i] - ex[i]) <= 0.02 * (ex[-1] - ex[0]) / N
+
+
 def test_doublet_splittings():
     sc = np.sort(-semiclassical_spectrum(TABLE_PARAMS[0.0]).energies)
     assert sc[16] - sc[15] == pytest.approx(0.094, abs=5e-3)
