@@ -271,17 +271,15 @@ def action(params: ModelParams, E, lobe="auto") -> float:
         # Above the barrier the saddle's log singularity lies inside the
         # contour; split there so that it sits at a segment end.
         return sum(_area_of(params, E, half) for half in _split_at(segs, saddle.p))
-    if lobe not in ("left", "right"):
-        raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
-    if len(comps) != 2:
-        raise GeometryError(f"expected two orbit components, found {len(comps)}")
-    return _area_of(params, E, comps[0] if lobe == "left" else comps[1])
+    return _area_of(params, E, _pick_component(comps, lobe))
 
 
 def period_direct(params: ModelParams, E, lobe="auto") -> float:
     """Orbit period from the time integral T = hbar * \\int du / sqrt(B)
     with B = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2 + u^2)/2)^2 over the
-    orbit's allowed momentum range."""
+    orbit's allowed momentum range.  ``lobe="auto"`` needs a contour of
+    one component, ``"left"`` and ``"right"`` one of exactly two; any
+    other contour raises ``GeometryError``."""
     saddle = _context(params)["saddle"]
     if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
         raise SeparatrixError("period diverges on the separatrix")
@@ -302,13 +300,17 @@ def period_direct(params: ModelParams, E, lobe="auto") -> float:
 
 
 def _pick_component(comps, lobe):
+    """The lone component for "auto"/"total"; one of exactly two for
+    "left"/"right"."""
     if lobe in ("auto", "total"):
         if len(comps) != 1:
             raise GeometryError("two orbits at this energy; pick lobe='left' or 'right'")
         return comps[0]
-    if len(comps) == 1:
-        return comps[0]
-    return comps[0] if lobe == "left" else comps[-1]
+    if lobe not in ("left", "right"):
+        raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
+    if len(comps) != 2:
+        raise GeometryError(f"expected two orbit components, found {len(comps)}")
+    return comps[0] if lobe == "left" else comps[1]
 
 
 # ---------------------------------------------------------------------------
