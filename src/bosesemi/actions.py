@@ -277,14 +277,16 @@ def action(params: ModelParams, E, lobe="auto") -> float:
 def period_direct(params: ModelParams, E, lobe="auto") -> float:
     """Orbit period from the time integral T = hbar * \\int du / sqrt(B)
     with B = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2 + u^2)/2)^2 over the
-    orbit's allowed momentum range.  ``lobe="auto"`` needs a contour of
-    one component, ``"left"`` and ``"right"`` one of exactly two; any
-    other contour raises ``GeometryError``."""
+    orbit's allowed momentum range.  ``lobe="total"`` sums every
+    component, so it is dS/dE of ``action(lobe="total")``; ``"auto"``
+    needs a contour of one component, ``"left"`` and ``"right"`` one of
+    exactly two; any other contour raises ``GeometryError``."""
     saddle = _context(params)["saddle"]
     if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
         raise SeparatrixError("period diverges on the separatrix")
     *_, segs = _orbit(params, float(E))
-    comp = _pick_component(_components(segs), lobe)
+    comps = _components(segs)
+    comp = [s for c in comps for s in c] if lobe == "total" else _pick_component(comps, lobe)
     allowed = [s for s in comp if s[2] == "allowed"]
     if not allowed:
         raise GeometryError("no classically allowed momenta at this energy")
@@ -300,9 +302,9 @@ def period_direct(params: ModelParams, E, lobe="auto") -> float:
 
 
 def _pick_component(comps, lobe):
-    """The lone component for "auto"/"total"; one of exactly two for
+    """The lone component for "auto"; one of exactly two for
     "left"/"right"."""
-    if lobe in ("auto", "total"):
+    if lobe == "auto":
         if len(comps) != 1:
             raise GeometryError("two orbits at this energy; pick lobe='left' or 'right'")
         return comps[0]

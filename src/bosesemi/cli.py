@@ -155,18 +155,10 @@ def cmd_density(args):
     rows = [("histogram", float(c), float(h), "")
             for c, h in zip(centers, hist.heights)]
     # Smooth classical curve: sum of orbit periods over 2 pi hbar Ns.
-    try:
-        info = act.barrier(params)
-    except act.GeometryError:
-        info = None
     norm = 2.0 * np.pi * params.hbar * params.Ns
     for c in centers:
         try:
-            if info is not None and info.e_min_upper < c < info.e_barr:
-                t = act.period_direct(params, c, lobe="left") + \
-                    act.period_direct(params, c, lobe="right")
-            else:
-                t = act.period_direct(params, c, lobe="auto")
+            t = act.period_direct(params, c, lobe="total")
             rows.append(("smooth", float(c), float(t / norm), ""))
         except (act.SeparatrixError, act.GeometryError):
             rows.append(("smooth", float(c), None, "separatrix"))

@@ -1,16 +1,16 @@
 """Semiclassical spectrum assembly.
 
-Single-well landscapes solve S(E) = h (n + 1/2) on the monotone action.
-A double-well landscape solves one condition over its whole spectrum,
-the two-region connection condition
+Every landscape solves one condition over its whole spectrum, the
+two-region connection condition
 
     sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -cos(Sl - Sr)
 
 with kappa the barrier transmission factor and Sphi the connection
-phase.  Up to the upper well minimum, and wherever the upper lobe is
-still too narrow to resolve, that lobe is empty (Sr = 0, kappa = 0,
-Sphi = 0) and the condition reduces to the plain rule
-S = 2 pi hbar (n + 1/2).  Writing the condition as
+phase.  Wherever the upper lobe is empty (Sr = 0, kappa = 0, Sphi = 0)
+the condition reduces to the plain rule S = 2 pi hbar (n + 1/2): up to
+the upper well minimum, wherever that lobe is still too narrow to
+resolve, and at every energy of a single well, which is the landscape
+without an upper lobe.  Writing the condition as
 Sl + Sr + Sphi = 2 pi k +- alpha(E)  with
 alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root finding
 into bracketing of monotone-ish phase functions, which resolves
@@ -28,6 +28,7 @@ import numpy as np
 from . import actions as act
 from .meanfield import fixed_points
 from .model import ModelParams
+from .quad import QuadratureError
 from .quantum import exact_spectrum
 
 
@@ -36,7 +37,10 @@ class QuantizationError(RuntimeError):
 
 
 def _bisect(f, a, b, fa=None, fb=None):
-    """Bracketed hybrid secant/bisection root refinement."""
+    """Bracketed root refinement by false position with the Illinois
+    step (Dowell and Jarratt, BIT 11, 1971): an end kept twice in a row
+    has its value halved, so both ends close in.  A step not strictly
+    inside (a, b) falls back to the midpoint; it stops at adjacent floats."""
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
     if fa == 0:
@@ -45,22 +49,26 @@ def _bisect(f, a, b, fa=None, fb=None):
         return b
     if fa * fb > 0:
         raise QuantizationError("root bracket lost")
+    kept = None  # the end the last step left in place
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        # Secant proposal, accepted when it stays safely interior.
-        if fb != fa:
-            sec = b - fb * (b - a) / (fb - fa)
-            if a + 0.1 * (b - a) < sec < b - 0.1 * (b - a):
-                mid = sec
-        if mid <= a or mid >= b:
-            break
+        mid = b - fb * (b - a) / (fb - fa)
+        if not a < mid < b:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
         fm = f(mid)
         if fm == 0:
             return mid
-        if fa * fm < 0:
+        if (fm < 0) == (fb < 0):
             b, fb = mid, fm
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
         else:
             a, fa = mid, fm
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
     return 0.5 * (a + b)
 
 
@@ -84,12 +92,8 @@ def quantize_single(params: ModelParams, n: int) -> float:
     return float(_bisect(f, e_min, e_max, fa=-target, fb=s_max - target))
 
 
-def _single_residual(params, E, n):
-    return abs(act.action(params, E, lobe="total") / (2.0 * params.hbar) - np.pi * (n + 0.5))
-
-
 # ---------------------------------------------------------------------------
-# double-well condition
+# the connection condition
 
 
 def _stable_alpha(delta, kappa):
@@ -111,15 +115,24 @@ def _stable_alpha(delta, kappa):
     return float(np.arccos(np.clip(y, -1.0, 1.0)))
 
 
+def _landmarks(params: ModelParams) -> act.BarrierInfo:
+    """``barrier(params)``; a single well, whose upper lobe is empty at
+    every energy, gets its upper minimum and barrier at +inf."""
+    ctx = act._context(params)
+    if ctx["saddle"] is None:
+        return act.BarrierInfo(np.inf, np.nan, ctx["e_min"], np.inf)
+    return act.barrier(params)
+
+
 def _dw_eval(params: ModelParams, E):
     """(psi, alpha) of the connection condition at energy E.
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
     roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
-    and below the barrier while the contour has fewer than two
-    components, the upper lobe is empty: psi = S/2 hbar and kappa = 0.
+    below the barrier while the contour has fewer than two components,
+    and in a single well, the upper lobe is empty: psi = S/2 hbar, kappa = 0.
     """
-    info = act.barrier(params)
+    info = _landmarks(params)
     *_, segs = act._orbit(params, float(E))
     if E <= info.e_min_upper or (E < info.e_barr and len(act._components(segs)) < 2):
         half = act.action(params, E, lobe="total") / (2.0 * params.hbar)
@@ -136,7 +149,7 @@ def _sample_grid(params, e_lo, e_hi, base_points):
     the barrier where the phase varies logarithmically.  The upper well
     minimum is a grid point: a lower-well level can sit on it, and only
     the condition's value right there brackets that level."""
-    info = act.barrier(params)
+    info = _landmarks(params)
     scale = params.energy_scale()
     grid = list(np.linspace(e_lo, e_hi, base_points))
     if e_lo < info.e_min_upper < e_hi:
@@ -219,14 +232,14 @@ def _bracket_roots(ev, grid, vals, scale):
 
 
 def quantize_double(params: ModelParams):
-    """Every connection-condition root of a double-well landscape, the
-    plain region-I levels below the upper minimum included.
+    """Every connection-condition root of a landscape: every level of a
+    single well, or of a double well, its plain region-I levels included.
 
     Returns a list of (energy, region, residual) sorted in energy, the
     region as ``turning_points`` assigns it; ``residual`` is the phase
     mismatch |psi - (2 pi k +- alpha)|.
     """
-    info = act.barrier(params)
+    info = _landmarks(params)
     scale = params.energy_scale()
     grid, vals = _phase_grid(params, info)
     # Each root is keyed by its branch (2 pi k, sign) of
@@ -271,30 +284,17 @@ class SemiclassicalSpectrum:
 def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     """All N + 1 semiclassical levels with region metadata.
 
-    Uses plain quantization when the landscape has no saddle at these
-    parameters (whatever the interaction strength); otherwise every level
-    is a root of the one connection condition (``quantize_double``),
-    which reduces to the plain rule below the upper minimum.
+    Every level is a root of the one connection condition
+    (``quantize_double``); ``residual`` is its phase mismatch.  The
+    condition reduces to the plain rule wherever the upper lobe is empty:
+    below the upper minimum, and everywhere in a single well.
     """
-    try:
-        info = act.barrier(params)
-    except act.GeometryError:
-        info = None
-    levels = []
-    if info is None:
-        for n in range(params.N + 1):
-            e = quantize_single(params, n)
-            geo = act.turning_points(params, e)
-            levels.append(Level(e, "single", geo.orbit_class,
-                                _single_residual(params, e, n)))
-    else:
-        dbl = quantize_double(params)
-        if len(dbl) != params.N + 1:
-            raise QuantizationError(f"level count mismatch: connection condition found "
-                                    f"{len(dbl)}, need {params.N + 1}")
-        for e, region, resid in dbl:
-            geo = act.turning_points(params, e)
-            levels.append(Level(e, region, geo.orbit_class, resid))
+    dbl = quantize_double(params)
+    if len(dbl) != params.N + 1:
+        raise QuantizationError(f"level count mismatch: connection condition found "
+                                f"{len(dbl)}, need {params.N + 1}")
+    levels = [Level(e, region, act.turning_points(params, e).orbit_class, resid)
+              for e, region, resid in dbl]
     return SemiclassicalSpectrum(
         params=params,
         energies=np.array([l.energy for l in levels]),
@@ -318,8 +318,9 @@ class SweepPoint:
 
 def sweep_epsilon(params: ModelParams, eps_values) -> list:
     """Exact + semiclassical spectra and the stationary mean-field
-    energies on a grid of bias values.  A failing point is recorded
-    rather than fatal."""
+    energies on a grid of bias values.  A point failing with a numerical
+    error (QuantizationError, QuadratureError or a ValueError such as
+    GeometryError) is recorded; any other exception propagates."""
     eps_values = np.atleast_1d(np.asarray(eps_values, dtype=float))
     out = []
     for e in eps_values:
@@ -332,7 +333,7 @@ def sweep_epsilon(params: ModelParams, eps_values) -> list:
             sc = semiclassical_spectrum(p).energies
             out.append(SweepPoint(float(e), ex, sc, stationary,
                                   swallowtail=len(fps) == 4))
-        except Exception as exc:  # recorded, not fatal
+        except (QuantizationError, QuadratureError, ValueError) as exc:
             out.append(SweepPoint(float(e), None, None, stationary,
                                   swallowtail=len(fps) == 4, error=str(exc)))
     return out

@@ -259,11 +259,16 @@ def test_period_linear_case():
 def test_period_fd_vs_direct():
     cases = [(SUPER21, -60.0, "left"), (SUPER21, -45.0, "auto"),
              (SUPER21, -20.0, "auto"), (LINEAR, 2.0, "auto"),
-             (ModelParams(N=10, eps=0.4, v=1.0, g=-3.0 / 11.0), -20.0, "auto")]
+             (ModelParams(N=10, eps=0.4, v=1.0, g=-3.0 / 11.0), -20.0, "auto"),
+             (SUPER21, -60.0, "total")]
     for params, E, lobe in cases:
         t1 = period_fd(params, E, lobe=lobe)
         t2 = act.period_direct(params, E, lobe=lobe)
         assert t1 == pytest.approx(t2, rel=1e-5)
+    # Below the barrier the total period is the sum of the two lobes'.
+    both = (act.period_direct(SUPER21, -60.0, lobe="left")
+            + act.period_direct(SUPER21, -60.0, lobe="right"))
+    assert act.period_direct(SUPER21, -60.0, lobe="total") == pytest.approx(both, rel=1e-12)
 
 
 def test_period_harmonic_limit():

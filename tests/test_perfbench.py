@@ -58,18 +58,20 @@ def test_tracer_counts_quartic_solves_behind_the_orbit_memo():
 
 
 def test_double_well_spectrum_is_one_quantize_double_call():
-    # The benchmark's quantize counters see one enumeration per spectrum.
+    # The benchmark's quantize counters see one enumeration per spectrum,
+    # for a double well (eps=0.5) and a single well (eps=1.5) alike.
     spans = _load_spans()
-    params = bosesemi.ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        _, err, _ = tracer.run_op("spectrum", lambda: bosesemi.semiclassical_spectrum(params))
-    finally:
-        tracer.uninstall()
-    assert err is None
-    assert tracer.calls_by_name[("quantize", "quantize_double")] == 1
-    assert tracer.calls_by_name[("quantize", "quantize_single")] == 0
+    for eps in (0.5, 1.5):
+        params = bosesemi.ModelParams(N=20, eps=eps, v=1.0, g=-3.0 / 21.0)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            _, err, _ = tracer.run_op("spectrum", lambda: bosesemi.semiclassical_spectrum(params))
+        finally:
+            tracer.uninstall()
+        assert err is None
+        assert tracer.calls_by_name[("quantize", "quantize_double")] == 1
+        assert tracer.calls_by_name[("quantize", "quantize_single")] == 0
 
 
 def test_benchmark_selftest_passes():

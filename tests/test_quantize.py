@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from bosesemi import actions as act
+from bosesemi import quantize
 from bosesemi.model import ModelParams
 from bosesemi.quantize import (
+    QuantizationError,
+    _bisect,
     _bracket_roots,
     _phase_grid,
     _stable_alpha,
@@ -85,6 +88,27 @@ def test_level_on_the_upper_minimum(N, g_ns, eps):
     assert abs(spec.energies[i] - ex[i]) <= 0.02 * (ex[-1] - ex[0]) / N
 
 
+def test_level_refinement_budget(monkeypatch):
+    # The root refiner stops near the root instead of halving its bracket
+    # down to adjacent floats; each quartic solve is one energy evaluated.
+    real, calls = act.quartic_roots, []
+    monkeypatch.setattr(act, "quartic_roots", lambda *c: calls.append(c) or real(*c))
+    act._orbit.cache_clear()
+    quantize_single(ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 2)
+    assert len(calls) <= 15
+    act._orbit.cache_clear()
+    calls.clear()
+    spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
+    assert len(calls) <= 35 * len(spec)
+    # On a convex function plain false position keeps one end for good
+    # and stalls; the Illinois step moves it (60 evaluations with the
+    # guarded secant, none converged within 200 without the halving).
+    x = []
+    root = _bisect(lambda e: x.append(e) or np.expm1(20.0 * e) - 1.0, 0.0, 1.0)
+    assert root == pytest.approx(np.log(2.0) / 20.0, abs=1e-15)
+    assert len(x) <= 40
+
+
 def test_doublet_splittings():
     sc = np.sort(-semiclassical_spectrum(TABLE_PARAMS[0.0]).energies)
     assert sc[16] - sc[15] == pytest.approx(0.094, abs=5e-3)
@@ -93,13 +117,14 @@ def test_doublet_splittings():
 
 
 def test_spectrum_metadata_and_residuals():
-    spec = semiclassical_spectrum(TABLE_PARAMS[0.5])
-    assert len(spec) == 21
-    regions = {l.region for l in spec.levels}
-    assert regions == {"I", "II", "III"}
-    for l in spec.levels:
-        assert l.residual < 1e-10
-    assert np.all(np.diff(spec.energies) > 0)
+    # A double well, and a single well quantized by the same condition.
+    for eps, regions in ((0.5, {"I", "II", "III"}), (1.5, {"single"})):
+        spec = semiclassical_spectrum(TABLE_PARAMS[eps])
+        assert len(spec) == 21
+        assert {l.region for l in spec.levels} == regions
+        for l in spec.levels:
+            assert l.residual < 1e-10
+        assert np.all(np.diff(spec.energies) > 0)
 
 
 def test_level_counts_on_benchmark_sets():
@@ -236,6 +261,24 @@ def test_sweep_swallowtail_flag():
     p = ModelParams(N=10, eps=0.0, v=1.0, g=-3.0 / 11.0)
     pts = sweep_epsilon(p, [0.0, 2.0])
     assert pts[0].swallowtail and not pts[1].swallowtail
+
+
+def test_sweep_records_only_numerical_errors(monkeypatch):
+    # A numerical failure becomes the point's error; a bug propagates.
+    p = ModelParams(N=4, eps=0.0, v=1.0, g=-0.5 / 5.0)
+
+    def fail(exc):
+        def spectrum(params):
+            raise exc
+        return spectrum
+
+    monkeypatch.setattr(quantize, "semiclassical_spectrum",
+                        fail(QuantizationError("level count mismatch")))
+    (pt,) = sweep_epsilon(p, [0.3])
+    assert pt.error == "level count mismatch" and pt.semiclassical is None
+    monkeypatch.setattr(quantize, "semiclassical_spectrum", fail(TypeError("bug")))
+    with pytest.raises(TypeError):
+        sweep_epsilon(p, [0.3])
 
 
 def test_levels_bounded_by_stationary_energies():
