@@ -17,6 +17,10 @@ into bracketing of monotone-ish phase functions, which resolves
 near-degenerate tunneling doublets that a naive sign scan of the
 condition would miss (the condition only dips below zero by O(kappa^2)
 at a deep doublet).
+
+The condition is evaluated on energy arrays: each bisection pass of the
+sampling grid is one ``_dw_eval`` call, and every bracketed root is
+refined in lockstep, one call per refinement step.
 """
 
 from __future__ import annotations
@@ -37,39 +41,54 @@ class QuantizationError(RuntimeError):
 
 
 def _bisect(f, a, b, fa=None, fb=None):
-    """Bracketed root refinement by false position with the Illinois
-    step (Dowell and Jarratt, BIT 11, 1971): an end kept twice in a row
-    has its value halved, so both ends close in.  A step not strictly
-    inside (a, b) falls back to the midpoint; it stops at adjacent floats."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if fa * fb > 0:
+    """Bracketed root refinement of every bracket [a[j], b[j]] in lockstep,
+    by false position with the Illinois step (Dowell and Jarratt, BIT 11,
+    1971): an end kept twice in a row has its value halved, so both ends
+    close in.  A step not strictly inside its bracket falls back to the
+    midpoint; a bracket stops at adjacent floats.
+
+    ``f(x, rows)`` returns the function of bracket ``rows[j]`` at
+    ``x[j]``, so each step is one call for all brackets still open.
+    Returns the roots laid out like a and b, a float for scalar ends.
+    """
+    shape = np.broadcast(a, b).shape
+    flat = lambda x: np.array(np.broadcast_to(x, shape), dtype=float).reshape(-1)
+    a, b = flat(a), flat(b)
+    rows = np.arange(a.size)
+    fa = f(a, rows) if fa is None else flat(fa)
+    fb = f(b, rows) if fb is None else flat(fb)
+    if np.any(fa * fb > 0):
         raise QuantizationError("root bracket lost")
-    kept = None  # the end the last step left in place
+    root = np.where(fa == 0, a, b)
+    # The open brackets, compacted; last says whether the last step moved
+    # b (1) or a (0), and is -1 before the first step.
+    live = (fa != 0) & (fb != 0)
+    a, b, fa, fb, rows = a[live], b[live], fa[live], fb[live], rows[live]
+    last = np.full(rows.size, -1.0)
     for _ in range(200):
+        if not rows.size:
+            break
         mid = b - fb * (b - a) / (fb - fa)
-        if not a < mid < b:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
+        inside = (a < mid) & (mid < b)
+        if not inside.all():
+            mid = np.where(inside, mid, 0.5 * (a + b))
+            inside = (a < mid) & (mid < b)
+            root[rows[~inside]] = mid[~inside]
+            a, b, fa, fb, last, rows, mid = (x[inside] for x in (a, b, fa, fb, last, rows, mid))
+            if not rows.size:
                 break
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm < 0) == (fb < 0):
-            b, fb = mid, fm
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
-        else:
-            a, fa = mid, fm
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
-    return 0.5 * (a + b)
+        fm = f(mid, rows)
+        right = (fm < 0) == (fb < 0)  # mid replaces b
+        # The end kept in place twice in a row has its value halved.
+        h = np.where(right == last, 0.5, 1.0)
+        fa, fb = np.where(right, h * fa, fm), np.where(right, fm, h * fb)
+        a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
+        zero = fm == 0
+        if zero.any():
+            root[rows[zero]] = mid[zero]
+            a, b, fa, fb, last, rows = (x[~zero] for x in (a, b, fa, fb, last, rows))
+    root[rows] = 0.5 * (a + b)
+    return float(root[0]) if not shape else root.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +102,13 @@ def quantize_single(params: ModelParams, n: int) -> float:
     e_min, e_max = act.classical_range(params)
     target = 2.0 * np.pi * params.hbar * (n + 0.5)
 
-    def f(E):
+    def f(E, rows):
         return act.action(params, E, lobe="total") - target
 
     # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
     # at the ends are too small to integrate at full precision.
     s_max = 2.0 * np.pi * params.hbar * params.Ns
-    return float(_bisect(f, e_min, e_max, fa=-target, fb=s_max - target))
+    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +116,24 @@ def quantize_single(params: ModelParams, n: int) -> float:
 
 
 def _stable_alpha(delta, kappa):
-    """alpha = arccos(-cos(delta)/sqrt(1+kappa^2)), computed so that
-    near-tangency (alpha near pi) keeps full precision:
+    """alpha = arccos(-cos(delta)/sqrt(1+kappa^2)) elementwise, computed so
+    that near-tangency (alpha near pi) keeps full precision:
     1 - cos(delta)/sqrt(1+kappa^2) is assembled from two positive terms,
     and pi - alpha = arccos(1 - deficit) is taken as 2 arcsin(sqrt(deficit/2)),
     which does not round 1 - deficit to 1 when kappa^2 is below roundoff."""
-    if not np.isfinite(kappa) or kappa > 1e150:
-        return 0.5 * np.pi
+    delta, kappa = np.broadcast_arrays(np.asarray(delta, dtype=float),
+                                       np.asarray(kappa, dtype=float))
     cosd = np.cos(delta)
-    if cosd >= 0.0:
-        # alpha = pi - arccos(cosd/sqrt(1+k^2)); the complement's cosine
-        # deficit splits into (1 - 1/sqrt(1+k^2)) + (1 - cosd)/sqrt(1+k^2).
-        inv = 1.0 / np.hypot(1.0, kappa)
-        deficit = -np.expm1(-0.5 * np.log1p(kappa * kappa)) + (1.0 - cosd) * inv
-        return float(np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * deficit)))
-    y = -cosd / np.hypot(1.0, kappa)
-    return float(np.arccos(np.clip(y, -1.0, 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hyp = np.hypot(1.0, kappa)
+        # alpha = pi - arccos(cosd/sqrt(1+k^2)) where cosd >= 0; the
+        # complement's cosine deficit splits into
+        # (1 - 1/sqrt(1+k^2)) + (1 - cosd)/sqrt(1+k^2).
+        deficit = -np.expm1(-0.5 * np.log1p(kappa * kappa)) + (1.0 - cosd) * (1.0 / hyp)
+        alpha = np.where(cosd >= 0.0, np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * deficit)),
+                         np.arccos(np.clip(-cosd / hyp, -1.0, 1.0)))
+    alpha = np.where(np.isfinite(kappa) & (kappa <= 1e150), alpha, 0.5 * np.pi)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def _landmarks(params: ModelParams) -> act.BarrierInfo:
@@ -125,7 +146,8 @@ def _landmarks(params: ModelParams) -> act.BarrierInfo:
 
 
 def _dw_eval(params: ModelParams, E):
-    """(psi, alpha) of the connection condition at energy E.
+    """(psi, alpha) of the connection condition at the energies E, floats
+    for a scalar E and arrays for an array of energies.
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
     roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
@@ -133,15 +155,22 @@ def _dw_eval(params: ModelParams, E):
     and in a single well, the upper lobe is empty: psi = S/2 hbar, kappa = 0.
     """
     info = _landmarks(params)
-    *_, segs = act._orbit(params, float(E))
-    if E <= info.e_min_upper or (E < info.e_barr and len(act._components(segs)) < 2):
-        half = act.action(params, E, lobe="total") / (2.0 * params.hbar)
-        return half, _stable_alpha(half, 0.0)
-    left, right = act.lobe_phases(params, E)
-    tunneling = act.tunneling_below if E < info.e_barr else act.tunneling_above
-    s_eps, kappa = tunneling(params, E)
-    psi = left + right + act.phase_correction(s_eps)
-    return psi, _stable_alpha(left - right, kappa)
+    Er, shaped = act._rows(E)
+    ncomp = np.array([len(act._components(segs)) for *_, segs in act._orbit(params, Er)])
+    empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (ncomp < 2))
+    psi, delta, kappa = np.empty(len(Er)), np.empty(len(Er)), np.zeros(len(Er))
+    one, two = np.flatnonzero(empty), np.flatnonzero(~empty)
+    psi[one] = delta[one] = act.action(params, Er[one], lobe="total") / (2.0 * params.hbar)
+    if two.size:
+        left, right = act.lobe_phases(params, Er[two])
+        below = Er[two] < info.e_barr
+        s_eps = np.empty(two.size)
+        for side, tunneling in ((below, act.tunneling_below), (~below, act.tunneling_above)):
+            if side.any():
+                s_eps[side], kappa[two[side]] = tunneling(params, Er[two[side]])
+        psi[two] = left + right + act.phase_correction(s_eps)
+        delta[two] = left - right
+    return shaped(psi), shaped(_stable_alpha(delta, kappa))
 
 
 def _sample_grid(params, e_lo, e_hi, base_points):
@@ -180,64 +209,65 @@ def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     e_hi = e_max - 1e-8 * scale
     grid = _sample_grid(params, e_lo, e_hi, 16 * (params.N + 1))
 
-    evals = {}
-
-    def ev(E):
-        if E not in evals:
-            evals[E] = _dw_eval(params, E)
-        return evals[E]
-
-    work = list(grid)
+    psi, alpha = _dw_eval(params, grid)
     for _ in range(24):
-        vals = [ev(e) for e in work]
-        new = []
-        for (e1, (p1, a1)), (e2, (p2, a2)) in zip(zip(work, vals), zip(work[1:], vals[1:])):
-            if abs(p2 - p1) > 0.75 and e2 - e1 > 1e-12 * scale:
-                new.append(0.5 * (e1 + e2))
-        if not new:
+        split = (np.abs(np.diff(psi)) > 0.75) & (np.diff(grid) > 1e-12 * scale)
+        if not split.any():
             break
-        work = sorted(set(work) | set(new))
-    return work, [ev(e) for e in work]
+        # The midpoints are new energies: each lies strictly inside its
+        # interval, which is wider than 1e-12 energy scales.
+        new = 0.5 * (grid[:-1][split] + grid[1:][split])
+        grid = np.concatenate([grid, new])
+        order = np.argsort(grid)
+        grid = grid[order]
+        psi, alpha = (np.concatenate([old, add])[order]
+                      for old, add in zip((psi, alpha), _dw_eval(params, new)))
+    return grid, (psi, alpha)
 
 
 def _bracket_roots(ev, grid, vals, scale):
     """Roots of psi -+ alpha = 2 pi k between neighbouring grid points.
 
-    ``ev(E)`` returns (psi, alpha) and ``vals[i]`` is its value at
-    ``grid[i]``.  Yields (root, f) per bracketed root, f being the
-    function the root zeroes, in sign, interval, k order; f's defaults
-    (2 pi k, sign) name the root's branch.  Yielding lazily keeps each
-    caller's own evaluations interleaved with the bisections.
+    ``ev(E)`` returns (psi, alpha) at an array of energies and ``vals``
+    is its value on ``grid``.  Every bracket is refined at once, one
+    ``ev`` call per step.  Returns (root, (2 pi k, sign)) pairs in sign,
+    interval, k order; the pair names the root's branch.
     """
+    psi, alpha = vals
+    lo, target, signs = [], [], []
     for sign in (+1.0, -1.0):
-        h = [v[0] - sign * v[1] for v in vals]
-        for i in range(len(grid) - 1):
-            if abs(grid[i + 1] - grid[i]) < 1e-15 * scale:
-                continue
-            k_lo = np.ceil(min(h[i], h[i + 1]) / (2.0 * np.pi) - 1e-12)
-            k_hi = np.floor(max(h[i], h[i + 1]) / (2.0 * np.pi) + 1e-12)
-            for k in np.arange(k_lo, k_hi + 0.5):
-                target = 2.0 * np.pi * k
+        h = psi - sign * alpha
+        k_lo = np.ceil(np.minimum(h[:-1], h[1:]) / (2.0 * np.pi) - 1e-12)
+        k_hi = np.floor(np.maximum(h[:-1], h[1:]) / (2.0 * np.pi) + 1e-12)
+        wide = np.abs(np.diff(grid)) >= 1e-15 * scale
+        for i in np.flatnonzero(wide & (k_hi >= k_lo)):
+            for k in np.arange(k_lo[i], k_hi[i] + 0.5):
+                lo.append(i)
+                target.append(2.0 * np.pi * k)
+                signs.append(sign)
+    lo, target, signs = np.array(lo, dtype=int), np.array(target), np.array(signs)
+    fa = psi[lo] - signs * alpha[lo] - target
+    fb = psi[lo + 1] - signs * alpha[lo + 1] - target
+    # The 1e-12 slack of k_lo and k_hi admits a few targets outside a
+    # bracket's range; those hold no root.
+    keep = fa * fb <= 0
+    lo, target, signs = lo[keep], target[keep], signs[keep]
 
-                def f(E, t=target, s=sign):
-                    p, a = ev(E)
-                    return p - s * a - t
+    def f(E, rows):
+        p, a = ev(E)
+        return p - signs[rows] * a - target[rows]
 
-                try:
-                    root = _bisect(f, grid[i], grid[i + 1],
-                                   fa=h[i] - target, fb=h[i + 1] - target)
-                except QuantizationError:
-                    continue
-                yield root, f
+    roots = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep])
+    return list(zip(roots.tolist(), zip(target.tolist(), signs.tolist())))
 
 
 def quantize_double(params: ModelParams):
     """Every connection-condition root of a landscape: every level of a
     single well, or of a double well, its plain region-I levels included.
 
-    Returns a list of (energy, region, residual) sorted in energy, the
-    region as ``turning_points`` assigns it; ``residual`` is the phase
-    mismatch |psi - (2 pi k +- alpha)|.
+    Returns a list of (energy, region, orbit_class, residual) sorted in
+    energy, region and orbit class as ``turning_points`` assigns them;
+    ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
     """
     info = _landmarks(params)
     scale = params.energy_scale()
@@ -247,16 +277,19 @@ def quantize_double(params: ModelParams):
     # doublet can lie closer than any energy tolerance, but never on one
     # branch; a branch yields twice only for a root on a grid point, which
     # both neighbouring brackets return.
-    roots = {}
+    found = {}
+    for root, branch in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+        found.setdefault(branch, root)
+    E = np.array(list(found.values()))
     guard = 1e-9 * scale
-    for root, f in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
-        if f.__defaults__ in roots:
-            continue
-        if abs(root - info.e_barr) < guard:
-            root = info.e_barr + guard * (1 if root >= info.e_barr else -1)
-        roots[f.__defaults__] = (float(root), act.turning_points(params, root).region,
-                                 abs(f(root)))
-    return sorted(roots.values())
+    near = np.abs(E - info.e_barr) < guard
+    E[near] = info.e_barr + guard * np.where(E[near] >= info.e_barr, 1.0, -1.0)
+    target, sign = np.array(list(found)).reshape(-1, 2).T
+    psi, alpha = _dw_eval(params, E)
+    resid = np.abs(psi - sign * alpha - target)
+    return sorted(((e, geo.region, geo.orbit_class, r) for e, geo, r in
+                   zip(E.tolist(), act.turning_points(params, E), resid.tolist())),
+                  key=lambda level: level[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +326,7 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     if len(dbl) != params.N + 1:
         raise QuantizationError(f"level count mismatch: connection condition found "
                                 f"{len(dbl)}, need {params.N + 1}")
-    levels = [Level(e, region, act.turning_points(params, e).orbit_class, resid)
-              for e, region, resid in dbl]
+    levels = [Level(*level) for level in dbl]
     return SemiclassicalSpectrum(
         params=params,
         energies=np.array([l.energy for l in levels]),

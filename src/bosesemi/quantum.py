@@ -93,12 +93,18 @@ def momentum_grid(params: ModelParams) -> np.ndarray:
 
 
 def momentum_representation(spec: Spectrum, n: int) -> MomentumWavefunction:
-    """Probability distribution of the population imbalance for state n."""
+    """Probability distribution of the population imbalance for state n.
+
+    A unit eigenvector resolves its components only down to machine
+    epsilon, so squares below epsilon^2 are roundoff, not amplitude;
+    they are returned as 0.
+    """
     if spec.eigenvectors is None:
         raise ValueError("spectrum was computed without eigenvectors")
     if not 0 <= n <= spec.params.N:
         raise ValueError(f"state index {n} outside 0..{spec.params.N}")
     vals = spec.eigenvectors[:, n] ** 2
+    vals[vals < np.finfo(float).eps ** 2] = 0.0
     return MomentumWavefunction(
         grid=momentum_grid(spec.params),
         values=vals / np.sum(vals),

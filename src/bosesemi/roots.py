@@ -6,6 +6,10 @@ caller can filter squaring artifacts by back-substitution.  It takes the
 companion-matrix roots and polishes them with Newton steps, which stays
 accurate near double roots (a bifurcation or a barrier top), where
 closed-form Ferrari/Cardano roots lose several digits.
+
+`quartic_rows` solves many quartics at once: one eigenvalue call on the
+stacked companion matrices and one vectorised polish.  `quartic_roots`
+is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,34 +17,62 @@ from __future__ import annotations
 import numpy as np
 
 
+def quartic_rows(coeffs):
+    """The roots of every row a x^4 + ... + e of the (rows, 5) array
+    ``coeffs``, highest degree first; any of a row's leading coefficients
+    may vanish.  Returns a list with one complex root array per row."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
+    mag = np.abs(coeffs)
+    # A row's degree counts from its first coefficient above 1e-14 of its
+    # largest; rows of one degree share a stacked eigenvalue call.
+    big = mag > 1e-14 * np.max(mag, axis=1, keepdims=True)
+    first = np.where(big.any(axis=1), np.argmax(big, axis=1), 5)
+    out = [np.array([], dtype=complex)] * len(coeffs)
+    for start in sorted(set(first.tolist()) & {0, 1, 2, 3}):
+        rows = np.flatnonzero(first == start)
+        c = coeffs[rows, start:]
+        deg = c.shape[1] - 1
+        comp = np.zeros((len(rows), deg, deg))
+        comp[:, 1:, :-1] = np.eye(deg - 1)
+        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+        for i, r in zip(rows, _polish(c, np.linalg.eigvals(comp))):
+            out[i] = r
+    return out
+
+
 def quartic_roots(a, b, c, d, e):
     """All roots of a x^4 + ... + e, highest degree first, any of the
     leading coefficients may vanish."""
-    coeffs = np.array([a, b, c, d, e], dtype=float)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0:
-        return np.array([], dtype=complex)
-    nz = np.flatnonzero(np.abs(coeffs) > 1e-14 * scale)
-    coeffs = coeffs[nz[0]:]
-    if coeffs.size <= 1:
-        return np.array([], dtype=complex)
-    return _polish(coeffs, np.roots(coeffs))
+    return quartic_rows([[a, b, c, d, e]])[0]
 
 
 def _polish(coeffs, roots):
-    """A few Newton steps on the original polynomial to tighten each root."""
-    der = np.polyder(coeffs)
+    """A few Newton steps on each row's original polynomial to tighten
+    its roots; one polynomial with a 1-D coeffs."""
+    coeffs = np.atleast_2d(coeffs)
     roots = np.asarray(roots, dtype=complex)
+    shape, roots = roots.shape, roots.reshape(len(coeffs), -1)
+    # Coefficients as columns, highest degree first, one per row.
+    cols = coeffs.T[:, :, None]
+    der = cols[:-1] * np.arange(len(cols) - 1, 0, -1)[:, None, None]
     for _ in range(3):
-        fval = np.polyval(coeffs, roots)
-        dval = np.polyval(der, roots)
+        fval = _horner(cols, roots)
+        dval = _horner(der, roots)
         step = np.where(dval != 0, fval / np.where(dval == 0, 1, dval), 0.0)
         # Keep the step bounded so a near-degenerate derivative cannot
         # throw a root across the spectrum.
         scale = 1.0 + np.abs(roots)
         step = np.where(np.abs(step) > 0.5 * scale, 0.0, step)
         roots = roots - step
-    return roots
+    return roots.reshape(shape)
+
+
+def _horner(cols, x):
+    """Each row's polynomial at that row's points x, by Horner's rule."""
+    y = cols[0] + 0.0 * x
+    for c in cols[1:]:
+        y = y * x + c
+    return y
 
 
 def real_roots(roots):

@@ -31,24 +31,27 @@ _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def log_gamma(z):
-    """log Gamma(z) for complex z, principal branch continued in Im.
+    """log Gamma(z) for complex z (or an array of them), principal branch
+    continued in Im.
 
     The imaginary part is computed without mod-2pi wrapping, which is what
     phase formulas built on arg Gamma require.
     """
-    z = complex(z)
-    if z.real < 0.5:
-        # Reflection log G(z) = log(pi/sin(pi z)) - log G(1 - z).  Fine for
-        # the uses here (never called on the negative real axis).
-        return np.log(np.pi / np.sin(np.pi * z)) - log_gamma(1.0 - z)
-    zz = z - 1.0
+    z = np.asarray(z, dtype=complex)
+    # Reflection log G(z) = log(pi/sin(pi z)) - log G(1 - z) for Re z < 1/2.
+    # Fine for the uses here (never called on the negative real axis).
+    reflect = z.real < 0.5
+    zz = np.where(reflect, 1.0 - z, z) - 1.0
     series = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[k] / (zz + k)
+        series = series + _LANCZOS_C[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(series)
+    out = _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(series)
+    if reflect.any():
+        out[reflect] = np.log(np.pi / np.sin(np.pi * z[reflect])) - out[reflect]
+    return out[()]
 
 
 def arg_gamma_half_line(x):
     """arg Gamma(1/2 + i x), continuous in x (odd function)."""
-    return log_gamma(0.5 + 1j * float(x)).imag
+    return log_gamma(0.5 + 1j * np.asarray(x, dtype=float)).imag

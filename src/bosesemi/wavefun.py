@@ -15,7 +15,7 @@ import numpy as np
 
 from . import actions as act
 from .model import ModelParams
-from .quad import turning_point_integral
+from .quad import turning_point_rows
 from .quantum import MomentumWavefunction, momentum_grid
 from .quantize import _bisect, quantize_single
 
@@ -49,29 +49,24 @@ def _weight(params: ModelParams, E, p):
 
 
 def _phase(params: ModelParams, E, lo, p):
-    """Phase integral from the lower turning point to each allowed momentum.
+    """Phase integral from the lower turning point to each allowed momentum,
+    all in one row-wise quadrature.
 
     With the lower turning point on the lower potential curve the local
     wavenumber is pi/2 - q, otherwise q.
     """
     if lo.branch == "U-":
-        f = lambda pp: 0.5 * np.pi - act._angle_allowed(params, E, pp)
+        f = lambda rows, pp: 0.5 * np.pi - act._angle_allowed(params, E, pp)
     else:
-        f = lambda pp: act._angle_allowed(params, E, pp)
-    return np.array([turning_point_integral(f, lo.p, x, rtol=1e-11) for x in p])
+        f = lambda rows, pp: act._angle_allowed(params, E, pp)
+    return turning_point_rows(f, lo.p, p, rtol=1e-11)
 
 
 def _decay(params: ModelParams, E, lo, hi, p):
-    """Integral of |Im q| from the nearest turning point to each momentum;
-    zero on the allowed interval."""
-    f = lambda pp: act._imag_angle(params, E, pp)
-    out = np.zeros(len(p))
-    for i, x in enumerate(p):
-        if x < lo.p:
-            out[i] = turning_point_integral(f, x, lo.p, rtol=1e-11)
-        elif x > hi.p:
-            out[i] = turning_point_integral(f, hi.p, x, rtol=1e-11)
-    return out
+    """Integral of |Im q| from the nearest turning point to each momentum,
+    all in one row-wise quadrature; zero on the allowed interval."""
+    return turning_point_rows(lambda rows, pp: act._imag_angle(params, E, pp),
+                              np.minimum(p, hi.p), np.maximum(p, lo.p), rtol=1e-11)
 
 
 def classical_density(params: ModelParams, E, p):
@@ -147,14 +142,14 @@ def _hermite_weight(n, xi):
 
 def _ho_phase(xi, xi0):
     """Harmonic-oscillator phase integral from -xi0 to xi (allowed side)."""
-    return 0.5 * xi * np.sqrt(max(xi0**2 - xi**2, 0.0)) + \
+    return 0.5 * xi * np.sqrt(np.maximum(xi0**2 - xi**2, 0.0)) + \
         0.5 * xi0**2 * (0.5 * np.pi + np.arcsin(np.clip(xi / xi0, -1.0, 1.0)))
 
 
 def _ho_decay(xi, xi0):
     """Forbidden-side phase integral from xi0 to xi > xi0."""
-    return 0.5 * xi * np.sqrt(max(xi**2 - xi0**2, 0.0)) - \
-        0.5 * xi0**2 * np.arccosh(max(xi / xi0, 1.0))
+    return 0.5 * xi * np.sqrt(np.maximum(xi**2 - xi0**2, 0.0)) - \
+        0.5 * xi0**2 * np.arccosh(np.maximum(xi / xi0, 1.0))
 
 
 def oscillator_coordinate(params: ModelParams, n, E, p):
@@ -171,13 +166,13 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     if np.any((phase < 0) | (phase > top + 1e-9)):
         raise ValueError("phase outside the oscillator mapping range")
     xi = np.empty_like(ps)
-    xi[allowed] = [_bisect(lambda x, t=t: _ho_phase(x, xi0) - t, -xi0, xi0)
-                   for t in np.minimum(phase, top)]
+    t = np.minimum(phase, top)
+    xi[allowed] = _bisect(lambda x, rows: _ho_phase(x, xi0) - t[rows], -xi0, np.full(t.shape, xi0))
     # Forbidden side: match the decay integral with |xi| beyond xi0; it
     # exceeds (xi - xi0)^2 / 2, which bounds the root.
     decay = _decay(params, E, lo, hi, ps[~allowed]) / params.hbar
-    xi[~allowed] = [_bisect(lambda x, t=t: _ho_decay(x, xi0) - t,
-                            xi0, xi0 + 1.0 + np.sqrt(2.0 * t)) for t in decay]
+    xi[~allowed] = _bisect(lambda x, rows: _ho_decay(x, xi0) - decay[rows],
+                           xi0, xi0 + 1.0 + np.sqrt(2.0 * decay))
     xi[ps < lo.p] *= -1.0
     return _shaped(xi, p)
 

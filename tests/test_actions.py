@@ -220,18 +220,19 @@ def test_lobe_phases_sum_to_total():
 
 def test_one_quartic_solve_per_energy(monkeypatch):
     # Every quantity at one energy reads the same solve of the turning
-    # quartic; the memo is keyed on the parameters as well as on E.
+    # quartic; the memo is keyed on the parameters as well as on E.  A
+    # solve is one row of the batched solver.
     from bosesemi import quantize
     from bosesemi import wavefun as wf
 
-    real, calls = act.quartic_roots, []
-    monkeypatch.setattr(act, "quartic_roots", lambda *c: calls.append(c) or real(*c))
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
 
     def solves(fn, *args):
         act._orbit.cache_clear()
-        calls.clear()
+        rows.clear()
         out = fn(*args)
-        return len(calls), out
+        return sum(rows), out
 
     assert solves(quantize._dw_eval, SUPER21, -60.0)[0] == 1
     assert solves(quantize._dw_eval, SUPER21, -45.0)[0] == 1
@@ -243,9 +244,9 @@ def test_one_quartic_solve_per_energy(monkeypatch):
 
     other = ModelParams(N=20, eps=0.2, v=1.0, g=-1.0 / 7.0)
     act._orbit.cache_clear()
-    calls.clear()
+    rows.clear()
     both = [act.lobe_phases(params, -55.0) for params in (SUPER21, other)]
-    assert len(calls) == 2
+    assert sum(rows) == 2
     assert both == [solves(act.lobe_phases, params, -55.0)[1] for params in (SUPER21, other)]
     assert act.action(sym, np.array(E)) == act.action(sym, E)
 

@@ -2,6 +2,7 @@
 its tracer patches every module it names, and its self-test runs the
 package end to end."""
 
+import functools
 import importlib
 import importlib.util
 import subprocess
@@ -39,13 +40,23 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         assert all(vars(mod)[name] is val for name, val in attrs.items())
 
 
-def test_tracer_counts_quartic_solves_behind_the_orbit_memo():
-    # The memo wrapper itself is not traced; the solve inside it is,
-    # because it looks quartic_roots up in the actions module's globals.
+def test_tracer_counts_quartic_solves_behind_the_orbit_memo(monkeypatch):
+    # The memo wrapper itself is not traced; the batched solve inside it
+    # is, because it looks quartic_rows up in the actions module's
+    # globals.  A solve is one row of that call.
     spans = _load_spans()
     params = bosesemi.ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
     bosesemi.barrier(params)  # fixed points cached before tracing
     bosesemi.actions._orbit.cache_clear()
+    real, rows = bosesemi.roots.quartic_rows, []
+
+    @functools.wraps(real)
+    def counted(coeffs):
+        rows.append(len(coeffs))
+        return real(coeffs)
+
+    for mod in (bosesemi.roots, bosesemi.actions):
+        monkeypatch.setattr(mod, "quartic_rows", counted)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -54,7 +65,8 @@ def test_tracer_counts_quartic_solves_behind_the_orbit_memo():
     finally:
         tracer.uninstall()
     assert err is None
-    assert tracer.quartic_calls == 1
+    assert sum(rows) == 1
+    assert tracer.calls_by_name[("roots", "quartic_rows")] == 1
 
 
 def test_double_well_spectrum_is_one_quantize_double_call():

@@ -90,21 +90,22 @@ def test_level_on_the_upper_minimum(N, g_ns, eps):
 
 def test_level_refinement_budget(monkeypatch):
     # The root refiner stops near the root instead of halving its bracket
-    # down to adjacent floats; each quartic solve is one energy evaluated.
-    real, calls = act.quartic_roots, []
-    monkeypatch.setattr(act, "quartic_roots", lambda *c: calls.append(c) or real(*c))
+    # down to adjacent floats; each row of the batched quartic solver is
+    # one energy evaluated.
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
     act._orbit.cache_clear()
     quantize_single(ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 2)
-    assert len(calls) <= 15
+    assert sum(rows) <= 15
     act._orbit.cache_clear()
-    calls.clear()
+    rows.clear()
     spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
-    assert len(calls) <= 35 * len(spec)
+    assert sum(rows) <= 35 * len(spec)
     # On a convex function plain false position keeps one end for good
     # and stalls; the Illinois step moves it (60 evaluations with the
     # guarded secant, none converged within 200 without the halving).
     x = []
-    root = _bisect(lambda e: x.append(e) or np.expm1(20.0 * e) - 1.0, 0.0, 1.0)
+    root = _bisect(lambda e, _: x.append(e) or np.expm1(20.0 * e) - 1.0, 0.0, 1.0)
     assert root == pytest.approx(np.log(2.0) / 20.0, abs=1e-15)
     assert len(x) <= 40
 
@@ -217,8 +218,8 @@ def test_printed_condition_variant_misses_doublets():
     p = TABLE_PARAMS[0.0]
     scale = p.energy_scale()
     grid, _ = _phase_grid(p, act.barrier(p))
-    ev = lambda E: _rhs_kappa_condition(p, E)
-    found = sorted(root for root, _ in _bracket_roots(ev, grid, [ev(e) for e in grid], scale))
+    ev = lambda E: tuple(np.array(v) for v in zip(*[_rhs_kappa_condition(p, e) for e in E]))
+    found = sorted(root for root, _ in _bracket_roots(ev, grid, ev(grid), scale))
     roots = []
     for r in found:
         if not roots or r - roots[-1] >= 1e-10 * scale:

@@ -124,6 +124,20 @@ def test_momentum_representation_normalized():
         assert np.all(w.values >= 0)
 
 
+def test_momentum_representation_zeroes_roundoff_floor():
+    # At p = 80 the amplitude is ~1.6e-44 (uniform form); the eigenvector
+    # component there is roundoff, which squared printed 6.0e-42.
+    p = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0)
+    spec = exact_spectrum(p, want_vectors=True)
+    w = momentum_representation(spec, 3)
+    floor = np.finfo(float).eps ** 2
+    assert w.values[list(w.grid).index(80.0)] == 0.0
+    assert np.all((w.values == 0.0) | (w.values >= floor))
+    raw = spec.eigenvectors[:, 3] ** 2
+    kept = raw >= floor
+    assert np.array_equal(w.values[kept], raw[kept] / raw.sum())
+
+
 def test_momentum_representation_requires_vectors():
     p = ModelParams(N=4, eps=0.0, v=1.0, g=0.0)
     spec = exact_spectrum(p)
