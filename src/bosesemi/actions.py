@@ -10,15 +10,16 @@ integral split at the turning points.
 
 The energy-dependent functions take a scalar energy or a 1-D array of
 energies.  An array is one batch: its turning quartics are solved
-together (``_orbit``), the segment bookkeeping runs per energy, and all
-its segments go into one row-wise quadrature; a scalar is a one-row
-batch.
+together and its contours are held as fixed-shape arrays (``_orbit``),
+every consumer picks segments by masks, and all the segments it needs
+go into one row-wise quadrature; a scalar is a one-row batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,33 +133,56 @@ def _rows(E):
     return E, lambda x: x
 
 
-_memo = {"params": None, "rows": {}}
+# Segment kinds: forbidden, allowed (E between the momentum potentials)
+# and open (E above the upper one); an empty segment has no width or is a
+# roundoff sliver, and belongs to no component.
+_EMPTY, _FORBIDDEN, _ALLOWED, _OPEN = -1, 0, 1, 2
 
 
-def _orbit(params: ModelParams, E):
-    """The energy contours at the energies E from one stacked solve of the
-    turning quartics [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2) in
-    s = p/(hbar*Ns), one (lead, roots, turning, segments) row per energy:
-    the quartic's leading nonzero coefficient and roots; the real roots
-    with |s| <= 1 as (p, branch) turning points sorted in p, the sign of
-    the unsquared bracket picking the branch; and [-p_max, p_max] split
-    at them into (a, b, kind) with kind allowed / open (E above the upper
-    potential) / forbidden.  The rows of the last call that had to solve
-    are kept, so every consumer of one batch reads one solve."""
-    E = np.asarray(E, dtype=float).reshape(-1).tolist()
-    rows = _memo["rows"] if _memo["params"] == params else {}
-    miss = [e for e in dict.fromkeys(E) if e not in rows]
-    if miss:
-        rows = {e: rows[e] for e in E if e in rows}
-        rows.update(zip(miss, _solve_orbits(params, np.array(miss))))
-        _memo["params"], _memo["rows"] = params, rows
-    return [rows[e] for e in E]
+class _Contour(NamedTuple):
+    """The energy contours of a batch, one row per energy: the turning
+    quartic's leading nonzero coefficient ``lead`` and its ``roots`` in
+    s = p/(hbar*Ns), NaN after the last; the real roots with |s| <= 1 as
+    turning momenta ``tp`` sorted in p, NaN after the last, with ``upper``
+    flagging the U+ branch; and [-p_max, p_max] cut at them into 5
+    segments [a, b] of a ``kind``, the missing ones of zero width at
+    p_max, with a component id ``comp`` that counts the forbidden
+    segments up to each."""
+    lead: np.ndarray
+    roots: np.ndarray
+    tp: np.ndarray
+    upper: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    kind: np.ndarray
+    comp: np.ndarray
 
 
-_orbit.cache_clear = lambda: _memo.update(params=None, rows={})
+def _orbit(params: ModelParams, E) -> _Contour:
+    """The contours at the energies E, one row per energy, from one
+    stacked solve of the turning quartics.  The last batch solved is kept,
+    sorted by energy, so every consumer of a batch or of part of it reads
+    one solve."""
+    E = np.asarray(E, dtype=float).reshape(-1)
+    # A NaN matches no energy, so other parameters' batch is never read.
+    known = _memo["E"] if _memo["params"] == params else np.full(1, np.nan)
+    if E.size == known.size and (E == known).all():
+        return _memo["contour"]
+    pos = np.minimum(np.searchsorted(known, E), known.size - 1)
+    if (known[pos] == E).all():
+        return _Contour(*[x[pos] for x in _memo["contour"]])
+    if E.size == 1:  # already a sorted batch of distinct energies
+        _memo.update(params=params, E=E.copy(), contour=_solve_orbits(params, E))
+        return _memo["contour"]
+    known = np.unique(E)
+    _memo.update(params=params, E=known, contour=_solve_orbits(params, known))
+    pos = np.searchsorted(known, E)
+    return _Contour(*[x[pos] for x in _memo["contour"]])
 
 
-def _solve_orbits(params: ModelParams, E):
+def _solve_orbits(params: ModelParams, E) -> _Contour:
+    """The contours at the energies E from the turning quartics
+    [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2), one stacked solve."""
     ns, hbar, pmax = params.Ns, params.hbar, params.p_max
     G = params.g * ns
     A = E / ns - 0.5 * G
@@ -167,30 +191,41 @@ def _solve_orbits(params: ModelParams, E):
     coeffs[:, 0], coeffs[:, 1] = 0.25 * G * G, eps * G
     coeffs[:, 2] = eps * eps - A * G + v * v
     coeffs[:, 3], coeffs[:, 4] = -2.0 * A * eps, A * A - v * v
-    mag = np.abs(coeffs)
-    big = mag > 1e-14 * np.max(mag, axis=1, keepdims=True)
-    lead = coeffs[np.arange(len(E)), np.argmax(big, axis=1)]
-    cuts, owner, mids = [], [], []
-    for i, (a_, roots) in enumerate(zip(A.tolist(), quartic_rows(coeffs))):
-        turning = []
-        for r in roots.tolist():
-            if abs(r.imag) > 1e-9 * (1.0 + abs(r)) or abs(r.real) > 1.0 + 1e-10:
-                continue
-            s = min(1.0, max(-1.0, r.real))
-            branch = "U+" if a_ - eps * s - 0.5 * G * s * s > 0 else "U-"
-            turning.append((s * ns * hbar, branch))
-        turning.sort(key=lambda t: t[0])
-        pts = [-pmax] + [p for p, _ in turning] + [pmax]
-        segs = [(a, b) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-13 * pmax]
-        cuts.append((roots, tuple(turning), segs))
-        owner += [i] * len(segs)
-        mids += [0.5 * (a + b) for a, b in segs]
-    # Each segment's kind from X = cos 2q at its midpoint, all at once.
-    xm = np.real(_cos2q(params, E[owner], np.array(mids))).tolist()
-    kinds = iter("allowed" if abs(x) <= 1.0 else ("open" if x > 1.0 else "forbidden")
-                 for x in xm)
-    return [(l, roots, turning, tuple((a, b, next(kinds)) for a, b in segs))
-            for l, (roots, turning, segs) in zip(lead.tolist(), cuts)]
+    roots = quartic_rows(coeffs)
+    # The solver drops a row's negligible leading coefficients, one NaN
+    # root each, so the NaN count indexes the coefficient it kept.
+    lead = coeffs[np.arange(len(E)), np.isnan(roots).sum(axis=1)]
+    # The real roots inside the rim, sorted, NaN last; the sign of the
+    # unsquared bracket picks each one's branch.
+    real = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))) & \
+        (np.abs(roots.real) <= 1.0 + 1e-10)
+    s = np.sort(np.where(real, np.minimum(np.maximum(roots.real, -1.0), 1.0), np.nan), axis=1)
+    upper = A[:, None] - eps * s - 0.5 * G * s * s > 0
+    tp = s * ns * hbar
+    pts = np.empty((len(E), 6))
+    pts[:, 0], pts[:, 1:5], pts[:, 5] = -pmax, np.fmin(tp, pmax), pmax
+    a, b = pts[:, :-1], pts[:, 1:]
+    # Each segment's kind from X = cos 2q at its midpoint: open above 1,
+    # allowed in [-1, 1], forbidden below -1 (and where X is NaN).
+    x = np.real(_cos2q(params, E[:, None], 0.5 * (a + b)))
+    kind = (x >= -1.0) + (x > 1.0).astype(int)
+    # Roundoff splits a double root (a well minimum) by about
+    # sqrt(machine eps); an allowed sliver that thin has no area to speak
+    # of, and no quadrature could resolve it against the noise.
+    kind[b - a <= np.where(kind == _ALLOWED, 1e-7, 1e-13) * pmax] = _EMPTY
+    return _Contour(lead, roots, tp, upper, a, b, kind, (kind == _FORBIDDEN).cumsum(axis=1))
+
+
+# The last batch solved; the empty one answers empty requests.
+_memo = {"params": None, "E": None, "contour": _solve_orbits(ModelParams(N=1), np.empty(0))}
+_orbit.cache_clear = lambda: _memo.update(params=None)
+
+
+def _ncomp(orb: _Contour):
+    """The number of components of each contour: forbidden segments part
+    them, so they are the ids that own an allowed or open segment."""
+    owned = (orb.kind > _FORBIDDEN)[:, :, None] & (orb.comp[:, :, None] == np.arange(6))
+    return owned.any(axis=1).sum(axis=1)
 
 
 def _speed_bracket(params: ModelParams, E):
@@ -199,16 +234,26 @@ def _speed_bracket(params: ModelParams, E):
     B is minus the turning-point quartic, so evaluating it as a product
     over the quartic's roots avoids the catastrophic cancellation of the
     closed form near turning points (|dH/dq| = 2 sqrt(B) there), which
-    matters for large particle numbers.
+    matters for large particle numbers.  ``bracket(p, rows)`` evaluates
+    the B of energy ``rows[j]`` at the points ``p[j]``; ``bracket(p)``
+    that of a scalar E.
     """
-    lead, roots, _, _ = _orbit(params, E)[0]
+    orb = _orbit(params, E)
     ns2 = params.Ns ** 2
+    # A missing root is a factor of one; a column that no row fills is
+    # skipped, and only one that some rows fill needs the mask.
+    nan = np.isnan(orb.roots)
+    cols = [(j, some) for j, (some, every) in
+            enumerate(zip(nan.any(axis=0).tolist(), nan.all(axis=0).tolist())) if not every]
 
-    def bracket(p):
+    def bracket(p, rows=0):
+        rows = np.asarray(rows)[..., None] if np.ndim(rows) else rows
         s = np.asarray(p) / (params.hbar * params.Ns)
-        q = np.full_like(s, lead, dtype=complex)
-        for r in roots:
-            q = q * (s - r)
+        q = np.empty(np.shape(s), dtype=complex)
+        q[...] = orb.lead[rows]
+        for j, some in cols:
+            f = s - orb.roots[rows, j]
+            q = q * (np.where(nan[rows, j], 1.0, f) if some else f)
         return -ns2 * q.real
 
     return bracket
@@ -221,17 +266,19 @@ def turning_points(params: ModelParams, E):
     Er, _ = _rows(E)
     tol = 1e-12 * params.energy_scale()
     inside = (Er >= ctx["e_min"] - tol) & (Er <= ctx["e_max"] + tol)
-    orbits = iter(_orbit(params, Er[inside]))
-    out = tuple(_classify(params, ctx, e, next(orbits)[2]) if ok else
+    orb = _orbit(params, Er[inside])
+    orbits = iter(zip(orb.tp.tolist(), orb.upper.tolist()))
+    out = tuple(_classify(params, ctx, e, *next(orbits)) if ok else
                 OrbitGeometry(e, (), None, "single",
                               diagnostic="energy outside the classical range")
                 for e, ok in zip(Er.tolist(), inside.tolist()))
     return out[0] if np.ndim(E) == 0 else out
 
 
-def _classify(params, ctx, E, turning):
-    """One in-range energy's geometry from its (p, branch) turning points."""
-    tps = tuple(TurningPoint(p, b) for p, b in turning)
+def _classify(params, ctx, E, tp, upper):
+    """One in-range energy's geometry from its NaN-padded turning momenta
+    and their branch flags."""
+    tps = tuple(TurningPoint(p, "U+" if u else "U-") for p, u in zip(tp, upper) if p == p)
     saddle = ctx["saddle"]
     if saddle is None:
         region = "single"
@@ -255,35 +302,53 @@ def _classify(params, ctx, E, turning):
     return OrbitGeometry(E, tps, klass, region)
 
 
-def _components(segs):
-    """Maximal runs of non-forbidden segments (the connected pieces of the
-    sublevel set's momentum projection)."""
-    comps, cur = [], []
-    for seg in segs:
-        if seg[2] == "forbidden":
-            if cur:
-                comps.append(cur)
-                cur = []
-        else:
-            cur.append(seg)
-    if cur:
-        comps.append(cur)
-    return comps
+def _halves(orb: _Contour, pb):
+    """The contours cut at momentum pb: every segment clipped to p <= pb
+    and to p >= pb, as (a, b, kind), each of shape (rows, 2, 5) with the
+    left half first.  Below the barrier its momentum lies in the
+    forbidden gap, where min_q H = e_barr > E, so a cut there parts the
+    two lobes."""
+    clip = lambda x: np.stack([np.minimum(x, pb), np.maximum(x, pb)], axis=1)
+    return clip(orb.a), clip(orb.b), np.stack([orb.kind, orb.kind], axis=1)
 
 
-def _area_of(params, E, rows):
-    """Area of the sublevel set over each row's segments, row i at energy
-    E[i]; every allowed segment of every row goes into one quadrature."""
-    seg = np.array([(i, a, b, kind == "open") for i, segs in enumerate(rows)
-                    for a, b, kind in segs if kind != "forbidden"]).reshape(-1, 4)
-    owner, allowed = seg[:, 0].astype(int), seg[:, 3] == 0.0
-    part = np.pi * (seg[:, 2] - seg[:, 1])
+def _lobe(params, orb: _Contour, lobe):
+    """(a, b, kind) of the segments a lobe covers, one row per contour:
+    "left" and "right" the half of a two-component contour on that side
+    of the barrier, "auto" (one component) and "total" the whole contour
+    cut at the barrier; above the barrier the saddle's log singularity
+    lies inside the contour, and the cut puts it at a segment end.  Raises
+    ``GeometryError`` where a contour does not suit the lobe."""
+    if lobe not in ("auto", "total", "left", "right"):
+        raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
+    ncomp = _ncomp(orb) if lobe != "total" else ()
+    if lobe == "auto" and np.any(ncomp > 1):
+        raise GeometryError("two disconnected orbits at this energy; pick lobe='left' or 'right'")
+    if lobe in ("left", "right") and np.any(ncomp != 2):
+        raise GeometryError(f"expected two orbit components, found {ncomp[ncomp != 2][0]}")
+    saddle = _context(params)["saddle"]
+    if saddle is None:
+        return orb.a, orb.b, orb.kind
+    halves = _halves(orb, saddle.p)
+    if lobe in ("left", "right"):
+        return tuple(x[:, int(lobe == "right")] for x in halves)
+    return tuple(x.reshape(len(x), 10) for x in halves)
+
+
+def _area_of(params, E, a, b, kind):
+    """Area of the sublevel set over each row's allowed and open segments,
+    row i at energy E[i]; the parts add up in segment order, and every
+    allowed segment of every row goes into one quadrature."""
+    live = kind > _FORBIDDEN
+    owner = np.nonzero(live)[0]
+    a, b, allowed = a[live], b[live], kind[live] == _ALLOWED
+    part = np.pi * (b - a)
     if allowed.any():
         Es = E[owner[allowed]]
         part[allowed] = turning_point_rows(
             lambda r, p: np.pi - 2.0 * _angle_allowed(params, Es[r, None], p),
-            seg[allowed, 1], seg[allowed, 2])
-    return np.bincount(owner, part, minlength=len(rows))
+            a[allowed], b[allowed])
+    return np.bincount(owner, part, minlength=len(E))
 
 
 # ---------------------------------------------------------------------------
@@ -309,61 +374,38 @@ def action(params: ModelParams, E, lobe="auto"):
     top = Er >= ctx["e_max"] - 1e-14 * scale
     if lobe in ("auto", "total"):
         out[top] = 2.0 * np.pi * params.Ns * params.hbar
-    mid = np.flatnonzero((Er > ctx["e_min"] + 1e-14 * scale) & ~top)
-    saddle = ctx["saddle"]
-    rows = []
-    for e, (*_, segs) in zip(Er[mid].tolist(), _orbit(params, Er[mid])):
-        comps = _components(segs)
-        if lobe not in ("auto", "total"):
-            rows.append(_pick_component(comps, lobe))
-        elif len(comps) > 1 and lobe == "auto":
-            raise GeometryError(
-                "two disconnected orbits at this energy; pick lobe='left' or 'right'"
-            )
-        elif saddle is None or e < saddle.energy:
-            rows.append([s for c in comps for s in c])
-        else:
-            # Above the barrier the saddle's log singularity lies inside the
-            # contour; split there so that it sits at a segment end.
-            rows.append([s for half in _split_at(segs, saddle.p) for s in half])
-    out[mid] = _area_of(params, Er[mid], rows)
+    mid = (Er > ctx["e_min"] + 1e-14 * scale) & ~top
+    out[mid] = _area_of(params, Er[mid], *_lobe(params, _orbit(params, Er[mid]), lobe))
     return shaped(out)
 
 
-def period_direct(params: ModelParams, E, lobe="auto") -> float:
+def period_direct(params: ModelParams, E, lobe="auto"):
     """Orbit period from the time integral T = hbar * \\int du / sqrt(B)
     with B = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2 + u^2)/2)^2 over the
-    orbit's allowed momentum range.  ``lobe="total"`` sums every
-    component, so it is dS/dE of ``action(lobe="total")``; ``"auto"``
-    needs a contour of one component, ``"left"`` and ``"right"`` one of
-    exactly two; any other contour raises ``GeometryError``."""
+    orbit's allowed momentum range, a float for a scalar E and an array
+    for an array of energies.  ``lobe="total"`` sums every component, so
+    it is dS/dE of ``action(lobe="total")``; ``"auto"`` needs a contour of
+    one component, ``"left"`` and ``"right"`` one of exactly two; any
+    other contour raises ``GeometryError``.  The period diverges on the
+    separatrix: within 1e-9 energy scales of the barrier top a scalar E
+    raises ``SeparatrixError`` and an array gets inf."""
     saddle = _context(params)["saddle"]
-    if saddle is not None and abs(E - saddle.energy) < 1e-9 * params.energy_scale():
+    Er, shaped = _rows(E)
+    sep = np.zeros(len(Er), dtype=bool) if saddle is None else \
+        np.abs(Er - saddle.energy) < 1e-9 * params.energy_scale()
+    if np.ndim(E) == 0 and sep[0]:
         raise SeparatrixError("period diverges on the separatrix")
-    *_, segs = _orbit(params, E)[0]
-    comps = _components(segs)
-    comp = [s for c in comps for s in c] if lobe == "total" else _pick_component(comps, lobe)
-    allowed = np.array([(a, b) for a, b, kind in comp if kind == "allowed"]).reshape(-1, 2)
-    if not allowed.size:
+    a, b, kind = _lobe(params, _orbit(params, Er[~sep]), lobe)
+    allowed = kind == _ALLOWED
+    if not allowed.any(axis=1).all():
         raise GeometryError("no classically allowed momenta at this energy")
-    bracket = _speed_bracket(params, E)
-    return float(np.sum(turning_point_rows(
-        lambda r, p: 1.0 / np.sqrt(np.maximum(bracket(p), 1e-300)),
-        allowed[:, 0], allowed[:, 1], rtol=1e-11)))
-
-
-def _pick_component(comps, lobe):
-    """The lone component for "auto"; one of exactly two for
-    "left"/"right"."""
-    if lobe == "auto":
-        if len(comps) != 1:
-            raise GeometryError("two orbits at this energy; pick lobe='left' or 'right'")
-        return comps[0]
-    if lobe not in ("left", "right"):
-        raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
-    if len(comps) != 2:
-        raise GeometryError(f"expected two orbit components, found {len(comps)}")
-    return comps[0] if lobe == "left" else comps[1]
+    owner = np.nonzero(allowed)[0]
+    bracket = _speed_bracket(params, Er[~sep])
+    out = np.full(len(Er), np.inf)
+    out[~sep] = np.bincount(owner, turning_point_rows(
+        lambda r, p: 1.0 / np.sqrt(np.maximum(bracket(p, owner[r]), 1e-300)),
+        a[allowed], b[allowed], rtol=1e-11), minlength=len(kind))
+    return shaped(out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +452,13 @@ def tunneling_below(params: ModelParams, E):
         raise GeometryError("energy above the barrier; use tunneling_above")
     if np.any(Er <= info.e_min_lower):
         raise GeometryError("no tunneling geometry below the well bottoms")
-    gaps = []
-    for *_, segs in _orbit(params, Er):
-        gap = [(a, b) for a, b, kind in segs
-               if kind == "forbidden" and a > -params.p_max + 1e-9 * params.p_max
-               and b < params.p_max - 1e-9 * params.p_max]
-        if not gap:
-            raise GeometryError("no interior forbidden gap at this energy")
-        gaps.append(gap[0])
-    a, b = np.array(gaps).reshape(-1, 2).T
+    orb = _orbit(params, Er)
+    gap = (orb.kind == _FORBIDDEN) & (orb.a > -params.p_max + 1e-9 * params.p_max) & \
+        (orb.b < params.p_max - 1e-9 * params.p_max)
+    if not gap.any(axis=1).all():
+        raise GeometryError("no interior forbidden gap at this energy")
+    first = np.arange(len(Er)), np.argmax(gap, axis=1)
+    a, b = orb.a[first], orb.b[first]
     integral = turning_point_rows(lambda r, p: _imag_angle(params, Er[r, None], p), a, b)
     s_eps = integral / (np.pi * params.hbar)
     return shaped(s_eps), shaped(np.exp(-np.pi * s_eps))
@@ -439,14 +479,13 @@ def phase_correction(tunnel_action):
 def _complex_turning_pair(params: ModelParams, E):
     """The complex-conjugate inner turning points above the barrier, one
     per energy of the 1-D array E."""
-    out = []
-    for _, roots, _, _ in _orbit(params, E):
-        cplx = roots[roots.imag > 1e-9 * (1.0 + np.abs(roots))]
-        if not cplx.size:
-            raise GeometryError("no complex turning-point pair at this energy")
-        # The pair continuing the inner turning points lies near the barrier.
-        out.append(cplx[np.argmin(np.abs(cplx.imag))])
-    return np.array(out, dtype=complex) * params.Ns * params.hbar
+    roots = _orbit(params, E).roots
+    cplx = roots.imag > 1e-9 * (1.0 + np.abs(roots))
+    if not cplx.any(axis=1).all():
+        raise GeometryError("no complex turning-point pair at this energy")
+    # The pair continuing the inner turning points lies near the barrier.
+    pick = np.argmin(np.where(cplx, np.abs(roots.imag), np.inf), axis=1)
+    return roots[np.arange(len(roots)), pick] * params.Ns * params.hbar
 
 
 def tunneling_above(params: ModelParams, E):
@@ -482,22 +521,6 @@ def tunneling_above(params: ModelParams, E):
 # dimensionless lobe phases for the quantization condition
 
 
-def _split_at(segs, pb):
-    """The non-forbidden segments left and right of momentum pb."""
-    lsegs, rsegs = [], []
-    for a, b, kind in segs:
-        if kind == "forbidden":
-            continue
-        if b <= pb:
-            lsegs.append((a, b, kind))
-        elif a >= pb:
-            rsegs.append((a, b, kind))
-        else:
-            lsegs.append((a, pb, kind))
-            rsegs.append((pb, b, kind))
-    return lsegs, rsegs
-
-
 def lobe_phases(params: ModelParams, E):
     """Half-action phases (area / 2 hbar) of the left and right regions,
     floats for a scalar E and arrays for an array of energies.
@@ -508,16 +531,11 @@ def lobe_phases(params: ModelParams, E):
     """
     info = barrier(params)
     Er, shaped = _rows(E)
-    halves = []
-    for e, (*_, segs) in zip(Er.tolist(), _orbit(params, Er)):
-        if e < info.e_barr:
-            comps = _components(segs)
-            if len(comps) != 2:
-                raise GeometryError(
-                    f"expected two orbit components below the barrier, found {len(comps)}"
-                )
-        else:
-            comps = _split_at(segs, info.p_barr)
-        halves += comps
-    area = _area_of(params, np.repeat(Er, 2), halves) / (2.0 * params.hbar)
+    orb = _orbit(params, Er)
+    ncomp = _ncomp(orb)
+    bad = ncomp[(Er < info.e_barr) & (ncomp != 2)]
+    if bad.size:
+        raise GeometryError(f"expected two orbit components below the barrier, found {bad[0]}")
+    area = _area_of(params, np.repeat(Er, 2),
+                    *(x.reshape(-1, 5) for x in _halves(orb, info.p_barr))) / (2.0 * params.hbar)
     return shaped(area[0::2]), shaped(area[1::2])

@@ -154,14 +154,12 @@ def cmd_density(args):
     centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
     rows = [("histogram", float(c), float(h), "")
             for c, h in zip(centers, hist.heights)]
-    # Smooth classical curve: sum of orbit periods over 2 pi hbar Ns.
+    # Smooth classical curve: sum of orbit periods over 2 pi hbar Ns; the
+    # period is inf on the separatrix.
     norm = 2.0 * np.pi * params.hbar * params.Ns
-    for c in centers:
-        try:
-            t = act.period_direct(params, c, lobe="total")
-            rows.append(("smooth", float(c), float(t / norm), ""))
-        except (act.SeparatrixError, act.GeometryError):
-            rows.append(("smooth", float(c), None, "separatrix"))
+    for c, t in zip(centers, act.period_direct(params, centers, lobe="total")):
+        rows.append(("smooth", float(c), float(t / norm), "") if np.isfinite(t) else
+                    ("smooth", float(c), None, "separatrix"))
     for f in mf.fixed_points(params):
         rows.append(("stationary", float(f.energy), None, f.label))
     _emit(args, ["section", "E", "value", "label"], rows,

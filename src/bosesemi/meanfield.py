@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .roots import quartic_roots, real_roots
+from .roots import quartic_rows, real_roots
 
 
 class RimError(ValueError):
@@ -104,18 +104,11 @@ def fixed_points(params: ModelParams):
     G = g * ns
     out = []
     deg_tol = 1e-9 * (abs(v) * ns + abs(g) * ns**2 + 1e-30)
+    # dH/dp = 0 on the branch q0: (eps + G s) sqrt(1 - s^2) = sgn * v * s.
+    # Squared, both branches give (eps + G s)^2 (1 - s^2) - v^2 s^2 = 0.
+    cand = real_roots(quartic_rows([[G * G, 2.0 * eps * G, eps * eps + v * v - G * G,
+                                     -2.0 * eps * G, -eps * eps]])[0])
     for q0, sgn in ((0.0, +1.0), (0.5 * np.pi, -1.0)):
-        # dH/dp = 0 on the branch: (eps + G s) sqrt(1 - s^2) = sgn * v * s.
-        # Squared: (eps + G s)^2 (1 - s^2) - v^2 s^2 = 0.
-        cand = real_roots(
-            quartic_roots(
-                G * G,
-                2.0 * eps * G,
-                eps * eps + v * v - G * G,
-                -2.0 * eps * G,
-                -eps * eps,
-            )
-        )
         seen = []
         for s in cand:
             if abs(s) > 1.0 - 1e-13:

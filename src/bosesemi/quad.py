@@ -9,7 +9,7 @@ until stationarity is enough for ~1e-12 relative accuracy.
 ``turning_point_rows`` integrates many segments at once, one row per
 segment: every row doubles its node count until its own value is
 stationary and then drops out, so a row's result does not depend on
-the other rows.  ``turning_point_integral`` is its one-segment case.
+the other rows.
 """
 
 from __future__ import annotations
@@ -82,9 +82,3 @@ def turning_point_rows(f, a, b, rtol=1e-12):
         n *= 2
     return out
 
-
-def turning_point_integral(f, a, b, rtol=1e-12):
-    """One segment of ``turning_point_rows``; f takes a 1-D array of
-    points on the segment."""
-    val = turning_point_rows(lambda rows, pts: f(pts[0]), [a], [b], rtol)[0]
-    return complex(val) if np.iscomplexobj(val) else float(val)

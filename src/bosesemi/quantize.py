@@ -25,7 +25,7 @@ refined in lockstep, one call per refinement step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def _dw_eval(params: ModelParams, E):
     """
     info = _landmarks(params)
     Er, shaped = act._rows(E)
-    ncomp = np.array([len(act._components(segs)) for *_, segs in act._orbit(params, Er)])
+    ncomp = act._ncomp(act._orbit(params, Er))
     empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (ncomp < 2))
     psi, delta, kappa = np.empty(len(Er)), np.empty(len(Er)), np.zeros(len(Er))
     one, two = np.flatnonzero(empty), np.flatnonzero(~empty)
@@ -269,6 +269,10 @@ def quantize_double(params: ModelParams):
     energy, region and orbit class as ``turning_points`` assigns them;
     ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
     """
+    # Flipping the sign of one mode maps v to -v and leaves the spectrum
+    # as it is; the contour bookkeeping assumes v > 0.
+    if params.v < 0:
+        params = replace(params, v=-params.v)
     info = _landmarks(params)
     scale = params.energy_scale()
     grid, vals = _phase_grid(params, info)

@@ -1,15 +1,13 @@
 """Polynomial roots for degree <= 4.
 
 Turning points and fixed points both reduce to quartic equations after
-squaring a square root; `quartic_roots` returns all complex roots so the
+squaring a square root; `quartic_rows` returns all complex roots so the
 caller can filter squaring artifacts by back-substitution.  It takes the
 companion-matrix roots and polishes them with Newton steps, which stays
 accurate near double roots (a bifurcation or a barrier top), where
-closed-form Ferrari/Cardano roots lose several digits.
-
-`quartic_rows` solves many quartics at once: one eigenvalue call on the
-stacked companion matrices and one vectorised polish.  `quartic_roots`
-is its one-row case.
+closed-form Ferrari/Cardano roots lose several digits.  Many quartics
+are solved at once: one eigenvalue call on the stacked companion
+matrices of each degree and one vectorised polish.
 """
 
 from __future__ import annotations
@@ -20,14 +18,15 @@ import numpy as np
 def quartic_rows(coeffs):
     """The roots of every row a x^4 + ... + e of the (rows, 5) array
     ``coeffs``, highest degree first; any of a row's leading coefficients
-    may vanish.  Returns a list with one complex root array per row."""
+    may vanish.  Returns a complex (rows, 4) array, each row's roots
+    first and NaN after them."""
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
     mag = np.abs(coeffs)
     # A row's degree counts from its first coefficient above 1e-14 of its
     # largest; rows of one degree share a stacked eigenvalue call.
     big = mag > 1e-14 * np.max(mag, axis=1, keepdims=True)
     first = np.where(big.any(axis=1), np.argmax(big, axis=1), 5)
-    out = [np.array([], dtype=complex)] * len(coeffs)
+    out = np.full((len(coeffs), 4), np.nan, dtype=complex)
     for start in sorted(set(first.tolist()) & {0, 1, 2, 3}):
         rows = np.flatnonzero(first == start)
         c = coeffs[rows, start:]
@@ -35,15 +34,8 @@ def quartic_rows(coeffs):
         comp = np.zeros((len(rows), deg, deg))
         comp[:, 1:, :-1] = np.eye(deg - 1)
         comp[:, 0, :] = -c[:, 1:] / c[:, :1]
-        for i, r in zip(rows, _polish(c, np.linalg.eigvals(comp))):
-            out[i] = r
+        out[rows, :deg] = _polish(c, np.linalg.eigvals(comp))
     return out
-
-
-def quartic_roots(a, b, c, d, e):
-    """All roots of a x^4 + ... + e, highest degree first, any of the
-    leading coefficients may vanish."""
-    return quartic_rows([[a, b, c, d, e]])[0]
 
 
 def _polish(coeffs, roots):

@@ -215,6 +215,72 @@ def test_lobe_phases_sum_to_total():
 
 
 # ---------------------------------------------------------------------------
+# the contour record
+
+
+def test_batch_contour_equals_one_row_contours():
+    # A row of the record depends only on its own energy, so results do
+    # not depend on how a batch is made up.
+    for params in (SUPER21, BENCH_SETS[1], LINEAR, ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)):
+        e_min, e_max = act.classical_range(params)
+        es = np.linspace(e_min, e_max, 41)
+        act._orbit.cache_clear()
+        batch = act._orbit(params, es)
+        for i, e in enumerate(es):
+            act._orbit.cache_clear()
+            one = act._orbit(params, e)
+            for x, y in zip(batch, one):
+                assert np.array_equal(x[i], y[0], equal_nan=True)
+    act._orbit.cache_clear()
+
+
+def _component_areas(params, E):
+    """Oracle: the areas of the first and second connected components of
+    each contour, from the record's component ids (runs of allowed and
+    open segments between forbidden ones)."""
+    orb = act._orbit(params, E)
+    comp, live = orb.comp, orb.kind > act._FORBIDDEN
+    ids = np.where(live, comp, 99)
+    first = ids.min(axis=1, keepdims=True)
+    second = np.where(live & (comp > first), comp, 99).min(axis=1, keepdims=True)
+    return [act._area_of(params, E, orb.a, orb.b,
+                         np.where(live & (comp == c), orb.kind, act._EMPTY))
+            for c in (first, second)]
+
+
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.5), (40, -6.0, 0.0), (80, -3.0, 0.8)])
+def test_barrier_cut_is_the_component_split(N, g_ns, eps):
+    # Below the barrier its momentum lies in the forbidden gap, so the
+    # cut there gives the two components themselves.
+    params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info = act.barrier(params)
+    es = np.linspace(info.e_min_upper, info.e_barr, 202)[1:-1]
+    es = es[act._ncomp(act._orbit(params, es)) == 2]
+    assert es.size >= 190
+    left, right = act.lobe_phases(params, es)
+    oracle = _component_areas(params, es)
+    assert np.array_equal(left, oracle[0] / (2.0 * params.hbar))
+    assert np.array_equal(right, oracle[1] / (2.0 * params.hbar))
+    for lobe, area in zip(("left", "right"), oracle):
+        assert np.array_equal(act.action(params, es, lobe=lobe), area)
+
+
+def test_period_on_an_array_equals_scalar_calls():
+    info = act.barrier(SUPER21)
+    below = np.linspace(info.e_min_lower, info.e_barr, 9)[1:-1]
+    above = np.linspace(info.e_barr, act.classical_range(SUPER21)[1], 9)[1:-1]
+    for lobe, es in (("left", below), ("right", below), ("total", below),
+                     ("auto", above), ("total", np.concatenate([below, above]))):
+        batch = act.period_direct(SUPER21, es, lobe=lobe)
+        assert np.array_equal(batch, [act.period_direct(SUPER21, e, lobe=lobe) for e in es])
+    # On the separatrix an array gets inf where a scalar raises.
+    es = np.array([info.e_barr - 1.0, info.e_barr, info.e_barr + 1.0])
+    t = act.period_direct(SUPER21, es, lobe="total")
+    assert np.isinf(t[1]) and np.all(np.isfinite(t[[0, 2]]))
+    assert t[0] == act.period_direct(SUPER21, es[0], lobe="total")
+
+
+# ---------------------------------------------------------------------------
 # period
 
 

@@ -11,8 +11,7 @@ from bosesemi import ModelParams
 from bosesemi import actions as act
 from bosesemi import quad
 from bosesemi import quantize as qz
-from bosesemi.quad import (QuadratureError, _gl_nodes, turning_point_integral,
-                           turning_point_rows)
+from bosesemi.quad import QuadratureError, _gl_nodes, turning_point_rows
 
 SUPER21 = ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)
 
@@ -22,17 +21,22 @@ def _semicircle(p):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0))
 
 
+def _one_row(f, a, b):
+    # The segment [a, b] as a batch of one row.
+    return turning_point_rows(lambda r, p: f(p[0]), [a], [b])[0]
+
+
 def test_rows_equal_one_row_calls():
     # Real segments of several widths, a reversed one and zero spans.
     a = np.array([0.0, 0.2, 0.0, 0.7, 1.0, 0.5])
     b = np.array([1.0, 0.2, 0.5, 0.1, 1.0, 0.9])
     f = lambda x: np.sqrt(np.abs(x * (1.0 - x))) + np.cos(3.0 * x)
     rows = turning_point_rows(lambda r, p: f(p), a, b)
-    single = [turning_point_integral(f, x, y) for x, y in zip(a, b)]
+    single = [_one_row(f, x, y) for x, y in zip(a, b)]
     assert rows.dtype == float
     assert np.array_equal(rows, single)
     assert rows[1] == 0.0 and rows[4] == 0.0
-    assert turning_point_integral(_semicircle, 0.0, 1.0) == pytest.approx(np.pi / 8, rel=1e-12)
+    assert _one_row(_semicircle, 0.0, 1.0) == pytest.approx(np.pi / 8, rel=1e-12)
 
 
 def test_complex_rows_equal_one_row_calls():
@@ -40,7 +44,7 @@ def test_complex_rows_equal_one_row_calls():
     b = np.array([1.0 + 1.0j, 1.0 + 1.0j, 0.5 + 0.5j, 0.0])
     f = lambda z: np.exp(1j * z) * np.sqrt(z + 3.0)
     rows = turning_point_rows(lambda r, p: f(p), a, b)
-    single = [turning_point_integral(f, x, y) for x, y in zip(a, b)]
+    single = [_one_row(f, x, y) for x, y in zip(a, b)]
     assert rows.dtype == complex
     assert np.array_equal(rows, single)
     assert rows[2] == 0.0
@@ -74,7 +78,7 @@ def test_non_converging_row_raises(monkeypatch):
     with pytest.raises(QuadratureError):
         turning_point_rows(f, np.zeros(2), np.ones(2))
     with pytest.raises(QuadratureError):
-        turning_point_integral(lambda p: np.abs(p - 0.3) ** -1.5, 0.0, 1.0)
+        _one_row(lambda p: np.abs(p - 0.3) ** -1.5, 0.0, 1.0)
 
 
 def test_substituted_nodes_are_cached():

@@ -88,6 +88,18 @@ def test_level_on_the_upper_minimum(N, g_ns, eps):
     assert abs(spec.energies[i] - ex[i]) <= 0.02 * (ex[-1] - ex[0]) / N
 
 
+def test_upper_minimum_sliver_at_large_n():
+    # At N=200 roundoff splits the upper well's double turning point at
+    # its minimum, a grid point, into an allowed sliver 1.2e-8 p_max
+    # wide; integrating that noise raised QuadratureError.  Measured
+    # error 0.00044 mean spacings.
+    p = ModelParams(N=200, eps=0.3, v=1.0, g=-3.0 / 201.0)
+    sc = semiclassical_spectrum(p).energies
+    ex = exact_spectrum(p).energies
+    assert sc.size == 201
+    assert np.max(np.abs(sc - ex)) <= 0.002 * (ex[-1] - ex[0]) / 200
+
+
 def test_level_refinement_budget(monkeypatch):
     # The root refiner stops near the root instead of halving its bracket
     # down to adjacent floats; each row of the batched quartic solver is

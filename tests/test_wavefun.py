@@ -45,9 +45,9 @@ def test_classical_density_symmetry_and_norm():
     p = np.linspace(lo.p + 0.05 * (hi.p - lo.p), hi.p - 0.05 * (hi.p - lo.p), 41)
     w = wf.classical_density(SYM14, E, p)
     assert np.allclose(w, w[::-1], rtol=1e-10)
-    from bosesemi.quad import turning_point_integral
-    total = turning_point_integral(lambda x: wf.classical_density(SYM14, E, x),
-                                   lo.p, hi.p, rtol=1e-9)
+    from bosesemi.quad import turning_point_rows
+    total = turning_point_rows(lambda r, x: wf.classical_density(SYM14, E, x),
+                               [lo.p], [hi.p], rtol=1e-9)[0]
     assert total == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         wf.classical_density(SYM14, E, hi.p + 0.1)
