@@ -101,27 +101,37 @@ class OrbitGeometry:
     diagnostic: str | None = None
 
 
+@dataclass(frozen=True)
+class BarrierInfo:
+    """The landscape's energy landmarks: the barrier top (the saddle) and
+    its momentum, the lower and upper well minima, and the top of the
+    spectrum.  A single well is the landscape whose upper lobe is empty
+    at every energy: its upper minimum and barrier lie at +inf, and
+    ``p_barr`` is NaN."""
+    e_barr: float
+    p_barr: float
+    e_min_lower: float
+    e_min_upper: float
+    e_max: float
+
+
 @lru_cache(maxsize=128)
-def _context(params: ModelParams):
-    """Fixed-point derived energy landmarks, cached per parameter set."""
+def _context(params: ModelParams) -> BarrierInfo:
+    """The landmarks from the fixed points, cached per parameter set."""
     fps = fixed_points(params)
-    minima = [f for f in fps if f.kind == "minimum"]
-    maxima = [f for f in fps if f.kind == "maximum"]
+    minima = [f.energy for f in fps if f.kind == "minimum"]
+    maxima = [f.energy for f in fps if f.kind == "maximum"]
     saddles = [f for f in fps if f.kind == "saddle"]
     if not minima or not maxima:
         raise GeometryError("phase space lacks a minimum/maximum pair")
-    return {
-        "fps": fps,
-        "e_min": min(f.energy for f in minima),
-        "e_max": max(f.energy for f in maxima),
-        "e_upper_min": max(f.energy for f in minima),
-        "saddle": saddles[0] if saddles else None,
-    }
+    if not saddles:
+        return BarrierInfo(np.inf, np.nan, min(minima), np.inf, max(maxima))
+    return BarrierInfo(saddles[0].energy, saddles[0].p, min(minima), max(minima), max(maxima))
 
 
 def classical_range(params: ModelParams):
-    ctx = _context(params)
-    return ctx["e_min"], ctx["e_max"]
+    info = _context(params)
+    return info.e_min_lower, info.e_max
 
 
 def _rows(E):
@@ -262,29 +272,28 @@ def _speed_bracket(params: ModelParams, E):
 def turning_points(params: ModelParams, E):
     """Turning points with branch labels plus orbit classification; a
     tuple of ``OrbitGeometry``, one per energy, for an array E."""
-    ctx = _context(params)
+    info = _context(params)
     Er, _ = _rows(E)
     tol = 1e-12 * params.energy_scale()
-    inside = (Er >= ctx["e_min"] - tol) & (Er <= ctx["e_max"] + tol)
+    inside = (Er >= info.e_min_lower - tol) & (Er <= info.e_max + tol)
     orb = _orbit(params, Er[inside])
     orbits = iter(zip(orb.tp.tolist(), orb.upper.tolist()))
-    out = tuple(_classify(params, ctx, e, *next(orbits)) if ok else
+    out = tuple(_classify(params, info, e, *next(orbits)) if ok else
                 OrbitGeometry(e, (), None, "single",
                               diagnostic="energy outside the classical range")
                 for e, ok in zip(Er.tolist(), inside.tolist()))
     return out[0] if np.ndim(E) == 0 else out
 
 
-def _classify(params, ctx, E, tp, upper):
+def _classify(params, info, E, tp, upper):
     """One in-range energy's geometry from its NaN-padded turning momenta
     and their branch flags."""
     tps = tuple(TurningPoint(p, "U+" if u else "U-") for p, u in zip(tp, upper) if p == p)
-    saddle = ctx["saddle"]
-    if saddle is None:
+    if info.e_barr == np.inf:
         region = "single"
-    elif E <= ctx["e_upper_min"]:
+    elif E <= info.e_min_upper:
         region = "I"
-    elif E < saddle.energy:
+    elif E < info.e_barr:
         region = "II"
     else:
         region = "III"
@@ -326,10 +335,10 @@ def _lobe(params, orb: _Contour, lobe):
         raise GeometryError("two disconnected orbits at this energy; pick lobe='left' or 'right'")
     if lobe in ("left", "right") and np.any(ncomp != 2):
         raise GeometryError(f"expected two orbit components, found {ncomp[ncomp != 2][0]}")
-    saddle = _context(params)["saddle"]
-    if saddle is None:
+    info = _context(params)
+    if info.e_barr == np.inf:
         return orb.a, orb.b, orb.kind
-    halves = _halves(orb, saddle.p)
+    halves = _halves(orb, info.p_barr)
     if lobe in ("left", "right"):
         return tuple(x[:, int(lobe == "right")] for x in halves)
     return tuple(x.reshape(len(x), 10) for x in halves)
@@ -367,14 +376,14 @@ def action(params: ModelParams, E, lobe="auto"):
     well minimum the contour has one component, and the quantizer uses
     the total area there.
     """
-    ctx = _context(params)
+    info = _context(params)
     scale = params.energy_scale()
     Er, shaped = _rows(E)
     out = np.zeros(len(Er))
-    top = Er >= ctx["e_max"] - 1e-14 * scale
+    top = Er >= info.e_max - 1e-14 * scale
     if lobe in ("auto", "total"):
         out[top] = 2.0 * np.pi * params.Ns * params.hbar
-    mid = (Er > ctx["e_min"] + 1e-14 * scale) & ~top
+    mid = (Er > info.e_min_lower + 1e-14 * scale) & ~top
     out[mid] = _area_of(params, Er[mid], *_lobe(params, _orbit(params, Er[mid]), lobe))
     return shaped(out)
 
@@ -388,11 +397,10 @@ def period_direct(params: ModelParams, E, lobe="auto"):
     one component, ``"left"`` and ``"right"`` one of exactly two; any
     other contour raises ``GeometryError``.  The period diverges on the
     separatrix: within 1e-9 energy scales of the barrier top a scalar E
-    raises ``SeparatrixError`` and an array gets inf."""
-    saddle = _context(params)["saddle"]
+    raises ``SeparatrixError`` and an array gets inf; a single well's
+    barrier lies at +inf, so none of its energies is near it."""
     Er, shaped = _rows(E)
-    sep = np.zeros(len(Er), dtype=bool) if saddle is None else \
-        np.abs(Er - saddle.energy) < 1e-9 * params.energy_scale()
+    sep = np.abs(Er - _context(params).e_barr) < 1e-9 * params.energy_scale()
     if np.ndim(E) == 0 and sep[0]:
         raise SeparatrixError("period diverges on the separatrix")
     a, b, kind = _lobe(params, _orbit(params, Er[~sep]), lobe)
@@ -412,31 +420,17 @@ def period_direct(params: ModelParams, E, lobe="auto"):
 # barrier bookkeeping and tunneling integrals
 
 
-@dataclass(frozen=True)
-class BarrierInfo:
-    e_barr: float
-    p_barr: float
-    e_min_lower: float
-    e_min_upper: float
-
-
 def barrier(params: ModelParams) -> BarrierInfo:
-    """Saddle energy/momentum and the two well depths.
+    """The landscape's landmarks, its saddle's energy and momentum among them.
 
     Requires an actual double-well landscape at these parameters; the
     interaction being supercritical is necessary but, at large bias, not
     sufficient.
     """
-    ctx = _context(params)
-    saddle = ctx["saddle"]
-    if saddle is None:
+    info = _context(params)
+    if info.e_barr == np.inf:
         raise GeometryError("no saddle point: single-well landscape")
-    return BarrierInfo(
-        e_barr=saddle.energy,
-        p_barr=saddle.p,
-        e_min_lower=ctx["e_min"],
-        e_min_upper=ctx["e_upper_min"],
-    )
+    return info
 
 
 def tunneling_below(params: ModelParams, E):

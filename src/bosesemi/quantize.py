@@ -6,11 +6,13 @@ two-region connection condition
     sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -cos(Sl - Sr)
 
 with kappa the barrier transmission factor and Sphi the connection
-phase.  Wherever the upper lobe is empty (Sr = 0, kappa = 0, Sphi = 0)
-the condition reduces to the plain rule S = 2 pi hbar (n + 1/2): up to
-the upper well minimum, wherever that lobe is still too narrow to
-resolve, and at every energy of a single well, which is the landscape
-without an upper lobe.  Writing the condition as
+phase.  At the barrier top the tunneling action vanishes (kappa = 1,
+Sphi = 0), the parabolic-barrier limit, so a level may sit there.
+Wherever the upper lobe is empty (Sr = 0, kappa = 0, Sphi = 0) the
+condition reduces to the plain rule S = 2 pi hbar (n + 1/2): up to the
+upper well minimum, wherever that lobe is still too narrow to resolve,
+and at every energy of a single well, which is the landscape without
+an upper lobe.  Writing the condition as
 Sl + Sr + Sphi = 2 pi k +- alpha(E)  with
 alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root finding
 into bracketing of monotone-ish phase functions, which resolves
@@ -136,15 +138,6 @@ def _stable_alpha(delta, kappa):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _landmarks(params: ModelParams) -> act.BarrierInfo:
-    """``barrier(params)``; a single well, whose upper lobe is empty at
-    every energy, gets its upper minimum and barrier at +inf."""
-    ctx = act._context(params)
-    if ctx["saddle"] is None:
-        return act.BarrierInfo(np.inf, np.nan, ctx["e_min"], np.inf)
-    return act.barrier(params)
-
-
 def _dw_eval(params: ModelParams, E):
     """(psi, alpha) of the connection condition at the energies E, floats
     for a scalar E and arrays for an array of energies.
@@ -153,8 +146,10 @@ def _dw_eval(params: ModelParams, E):
     roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
     below the barrier while the contour has fewer than two components,
     and in a single well, the upper lobe is empty: psi = S/2 hbar, kappa = 0.
+    Within 1e-12 energy scales of the barrier top the tunneling action
+    takes its limit there, Seps = 0 and kappa = 1.
     """
-    info = _landmarks(params)
+    info = act._context(params)
     Er, shaped = act._rows(E)
     ncomp = act._ncomp(act._orbit(params, Er))
     empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (ncomp < 2))
@@ -163,9 +158,11 @@ def _dw_eval(params: ModelParams, E):
     psi[one] = delta[one] = act.action(params, Er[one], lobe="total") / (2.0 * params.hbar)
     if two.size:
         left, right = act.lobe_phases(params, Er[two])
-        below = Er[two] < info.e_barr
-        s_eps = np.empty(two.size)
-        for side, tunneling in ((below, act.tunneling_below), (~below, act.tunneling_above)):
+        # Right at the top neither tunneling integral has its geometry yet.
+        gap = Er[two] - info.e_barr
+        gap[np.abs(gap) <= 1e-12 * params.energy_scale()] = 0.0
+        s_eps, kappa[two] = np.zeros(two.size), 1.0
+        for side, tunneling in ((gap < 0, act.tunneling_below), (gap > 0, act.tunneling_above)):
             if side.any():
                 s_eps[side], kappa[two[side]] = tunneling(params, Er[two[side]])
         psi[two] = left + right + act.phase_correction(s_eps)
@@ -173,41 +170,23 @@ def _dw_eval(params: ModelParams, E):
     return shaped(psi), shaped(_stable_alpha(delta, kappa))
 
 
-def _sample_grid(params, e_lo, e_hi, base_points):
-    """Sampling grid for the phase functions, refined geometrically toward
-    the barrier where the phase varies logarithmically.  The upper well
-    minimum is a grid point: a lower-well level can sit on it, and only
-    the condition's value right there brackets that level."""
-    info = _landmarks(params)
-    scale = params.energy_scale()
-    grid = list(np.linspace(e_lo, e_hi, base_points))
-    if e_lo < info.e_min_upper < e_hi:
-        grid.append(info.e_min_upper)
-    if e_lo < info.e_barr < e_hi:
-        for j in range(2, 9):
-            d = 10.0 ** (-j) * scale
-            for e in (info.e_barr - d, info.e_barr + d):
-                if e_lo < e < e_hi:
-                    grid.append(e)
-    guard = 1e-9 * scale
-    grid = [e for e in grid if abs(e - info.e_barr) > guard]
-    return np.array(sorted(grid))
-
-
 def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     """Energies from just above the lower well minimum to just below the
     top of the spectrum, with the condition's (psi, alpha) at each.
 
+    The upper well minimum is a grid point: a lower-well level can sit on
+    it, and only the condition's value right there brackets that level.
     The grid is bisected until the psi step between neighbours is
     resolved.
     """
-    e_min, e_max = act.classical_range(params)
     scale = params.energy_scale()
     e_lo = info.e_min_lower + max(1e-9 * scale, 1e-11)
     # Stay clear of the very top, where the outer turning points pinch the
     # above-barrier contour; the highest level sits ~pi/2 in phase below.
-    e_hi = e_max - 1e-8 * scale
-    grid = _sample_grid(params, e_lo, e_hi, 16 * (params.N + 1))
+    e_hi = info.e_max - 1e-8 * scale
+    grid = np.linspace(e_lo, e_hi, 16 * (params.N + 1))
+    if e_lo < info.e_min_upper < e_hi:
+        grid = np.sort(np.append(grid, info.e_min_upper))
 
     psi, alpha = _dw_eval(params, grid)
     for _ in range(24):
@@ -273,7 +252,7 @@ def quantize_double(params: ModelParams):
     # as it is; the contour bookkeeping assumes v > 0.
     if params.v < 0:
         params = replace(params, v=-params.v)
-    info = _landmarks(params)
+    info = act._context(params)
     scale = params.energy_scale()
     grid, vals = _phase_grid(params, info)
     # Each root is keyed by its branch (2 pi k, sign) of
@@ -285,9 +264,6 @@ def quantize_double(params: ModelParams):
     for root, branch in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
         found.setdefault(branch, root)
     E = np.array(list(found.values()))
-    guard = 1e-9 * scale
-    near = np.abs(E - info.e_barr) < guard
-    E[near] = info.e_barr + guard * np.where(E[near] >= info.e_barr, 1.0, -1.0)
     target, sign = np.array(list(found)).reshape(-1, 2).T
     psi, alpha = _dw_eval(params, E)
     resid = np.abs(psi - sign * alpha - target)

@@ -278,6 +278,13 @@ def test_period_on_an_array_equals_scalar_calls():
     t = act.period_direct(SUPER21, es, lobe="total")
     assert np.isinf(t[1]) and np.all(np.isfinite(t[[0, 2]]))
     assert t[0] == act.period_direct(SUPER21, es[0], lobe="total")
+    # A single well's barrier lies at +inf: no energy is on a separatrix.
+    single = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
+    es = np.linspace(*act.classical_range(single), 9)[1:-1]
+    for lobe in ("auto", "total"):
+        batch = act.period_direct(single, es, lobe=lobe)
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch, [act.period_direct(single, e, lobe=lobe) for e in es])
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +373,8 @@ def test_barrier_info():
     assert info.p_barr == pytest.approx(0.0, abs=1e-10)
     assert info.e_min_lower == pytest.approx(-66.5)
     assert info.e_min_upper == pytest.approx(-66.5)
+    assert info.e_max == act.classical_range(SUPER21)[1]
+    assert act.barrier(SUPER21) is info  # one cached record per parameter set
     asym = ModelParams(N=10, eps=0.6, v=1.0, g=-4.0 / 11.0)
     info2 = act.barrier(asym)
     assert info2.e_min_lower < info2.e_min_upper < info2.e_barr

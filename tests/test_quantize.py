@@ -88,6 +88,21 @@ def test_level_on_the_upper_minimum(N, g_ns, eps):
     assert abs(spec.energies[i] - ex[i]) <= 0.02 * (ex[-1] - ex[0]) / N
 
 
+@pytest.mark.parametrize("N,eps", [(10, 0.09398472894895538), (20, 0.07667434299661074),
+                                   (40, 0.1266630308851279), (80, 0.38425127555334704),
+                                   (80, 0.3842512755533425)])
+def test_level_through_the_barrier_top(N, eps):
+    # At these biases a level sits on the barrier top, to within a few
+    # ulp.  There the tunneling action takes its limit (Seps = 0,
+    # kappa = 1): neither tunneling integral has its geometry yet.
+    # Measured errors 0.0090, 0.0046, 0.0023, 0.0011 and 0.0011 spacings.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=-3.0 / (N + 1))
+    sc = semiclassical_spectrum(p).energies
+    ex = exact_spectrum(p).energies
+    assert sc.size == N + 1
+    assert np.max(np.abs(sc - ex)) <= 0.02 * (ex[-1] - ex[0]) / N
+
+
 def test_upper_minimum_sliver_at_large_n():
     # At N=200 roundoff splits the upper well's double turning point at
     # its minimum, a grid point, into an allowed sliver 1.2e-8 p_max
