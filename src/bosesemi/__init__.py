@@ -19,8 +19,7 @@ from .actions import (
     orbit_angle,
     period_direct,
     phase_correction,
-    tunneling_above,
-    tunneling_below,
+    tunneling,
     turning_points,
 )
 from .meanfield import (

@@ -417,7 +417,7 @@ def period_direct(params: ModelParams, E, lobe="auto"):
 
 
 # ---------------------------------------------------------------------------
-# barrier bookkeeping and tunneling integrals
+# barrier bookkeeping and the tunneling integral
 
 
 def barrier(params: ModelParams) -> BarrierInfo:
@@ -433,31 +433,6 @@ def barrier(params: ModelParams) -> BarrierInfo:
     return info
 
 
-def tunneling_below(params: ModelParams, E):
-    """Barrier-penetration integral and tunneling factor below the top,
-    floats for a scalar E and arrays for an array of energies.
-
-    tunnel_action = (1/(pi*hbar)) * integral of |Im q| over the forbidden
-    gap between the inner turning points; tunnel_factor = exp(-pi * that).
-    """
-    info = barrier(params)
-    Er, shaped = _rows(E)
-    if np.any(Er >= info.e_barr):
-        raise GeometryError("energy above the barrier; use tunneling_above")
-    if np.any(Er <= info.e_min_lower):
-        raise GeometryError("no tunneling geometry below the well bottoms")
-    orb = _orbit(params, Er)
-    gap = (orb.kind == _FORBIDDEN) & (orb.a > -params.p_max + 1e-9 * params.p_max) & \
-        (orb.b < params.p_max - 1e-9 * params.p_max)
-    if not gap.any(axis=1).all():
-        raise GeometryError("no interior forbidden gap at this energy")
-    first = np.arange(len(Er)), np.argmax(gap, axis=1)
-    a, b = orb.a[first], orb.b[first]
-    integral = turning_point_rows(lambda r, p: _imag_angle(params, Er[r, None], p), a, b)
-    s_eps = integral / (np.pi * params.hbar)
-    return shaped(s_eps), shaped(np.exp(-np.pi * s_eps))
-
-
 def phase_correction(tunnel_action):
     """Connection phase arg Gamma(1/2 + i x) - x log|x| + x at
     x = tunnel_action, elementwise; vanishes at x = 0 and for
@@ -470,44 +445,52 @@ def phase_correction(tunnel_action):
     return shaped(out)
 
 
-def _complex_turning_pair(params: ModelParams, E):
-    """The complex-conjugate inner turning points above the barrier, one
-    per energy of the 1-D array E."""
-    roots = _orbit(params, E).roots
-    cplx = roots.imag > 1e-9 * (1.0 + np.abs(roots))
-    if not cplx.any(axis=1).all():
-        raise GeometryError("no complex turning-point pair at this energy")
-    # The pair continuing the inner turning points lies near the barrier.
-    pick = np.argmin(np.where(cplx, np.abs(roots.imag), np.inf), axis=1)
-    return roots[np.arange(len(roots)), pick] * params.Ns * params.hbar
+def tunneling(params: ModelParams, E):
+    """Tunneling action and factor (Seps, kappa), floats for a scalar E
+    and arrays for an array of energies.
 
-
-def tunneling_above(params: ModelParams, E):
-    """Continuation of the tunneling integral above the barrier.
-
-    Returns (tunnel_action, tunnel_factor) as ``tunneling_below`` does.
-    The action is real and <= 0, vanishing at the barrier top, so the
-    factor exp(-pi * tunnel_action) is at least one; it is inf where
-    that exponential would overflow.
+    Seps = Re[(i/2)(z2 - z1) - (i/pi) * integral of q dp from z1 to z2] / hbar,
+    q = arccos(cos 2q)/2 on the principal branch, between the inner
+    turning points: below the barrier top the ends (z1, z2) = (b, a) of
+    the interior forbidden gap, where Seps = (1/(pi*hbar)) * integral of
+    |Im q| over the gap > 0; above it the complex-conjugate pair
+    (conj pc, pc) nearest the real axis, where Seps < 0.  Within 1e-12
+    energy scales of the top Seps takes its limit 0.  kappa =
+    exp(-pi * Seps), inf where that exponential would overflow.
     """
     info = barrier(params)
     Er, shaped = _rows(E)
-    if np.any(Er <= info.e_barr):
-        raise GeometryError("energy below the barrier; use tunneling_below")
-    pc = _complex_turning_pair(params, Er)
-    pcc = pc.conjugate()
-    # Split the contour between the conjugate pair where it crosses the
-    # real axis: near the top of the spectrum the outer turning points
-    # pinch it there, and the endpoint substitution absorbs the resulting
-    # half-power feature only at a segment end.
-    mid = pc.real + 0j
-    n = len(Er)
+    if np.any(Er <= info.e_min_lower):
+        raise GeometryError("no tunneling geometry below the well bottoms")
+    gap = Er - info.e_barr
+    below = gap < -1e-12 * params.energy_scale()
+    above = gap > 1e-12 * params.energy_scale()
+    orb, rows, pmax = _orbit(params, Er), np.arange(len(Er)), params.p_max
+    inner = (orb.kind == _FORBIDDEN) & (orb.a > -pmax + 1e-9 * pmax) & (orb.b < pmax - 1e-9 * pmax)
+    if not inner[below].any(axis=1).all():
+        raise GeometryError("no interior forbidden gap at this energy")
+    cplx = orb.roots.imag > 1e-9 * (1.0 + np.abs(orb.roots))
+    if not cplx[above].any(axis=1).all():
+        raise GeometryError("no complex turning-point pair at this energy")
+    first = np.argmax(inner, axis=1)
+    # The pair continuing the inner turning points lies near the barrier.
+    pick = np.argmin(np.where(cplx, np.abs(orb.roots.imag), np.inf), axis=1)
+    pc = orb.roots[rows, pick] * params.Ns * params.hbar
+    z1 = np.where(above, pc.conjugate(), np.where(below, orb.b[rows, first], 0.0))
+    z2 = np.where(above, pc, np.where(below, orb.a[rows, first], 0.0))
+    # A complex pair's path is split where it crosses the real axis: near
+    # the top of the spectrum the outer turning points pinch it there,
+    # and the endpoint substitution absorbs the resulting half-power
+    # feature only at a segment end.  A real pair is one segment, the
+    # second one empty.
+    mid = np.where(above, z2.real, z2)
     Es = np.concatenate([Er, Er])
     seg = turning_point_rows(lambda r, p: 0.5 * np.arccos(_cos2q(params, Es[r, None], p)),
-                             np.concatenate([pcc, mid]), np.concatenate([mid, pc]))
-    s_eps = np.real(((0.5j * (pc - pcc)) + (-1j / np.pi) * (seg[:n] + seg[n:])) / params.hbar)
+                             np.concatenate([z1, mid]), np.concatenate([mid, z2]))
+    n = len(Er)
+    s_eps = np.real(0.5j * (z2 - z1) + (-1j / np.pi) * (seg[:n] + seg[n:])) / params.hbar
     with np.errstate(over="ignore"):
-        kappa = np.where(np.pi * np.abs(s_eps) < 700, np.exp(-np.pi * s_eps), np.inf)
+        kappa = np.where(-np.pi * s_eps < 700, np.exp(-np.pi * s_eps), np.inf)
     return shaped(s_eps), shaped(kappa)
 
 

@@ -146,8 +146,6 @@ def _dw_eval(params: ModelParams, E):
     roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
     below the barrier while the contour has fewer than two components,
     and in a single well, the upper lobe is empty: psi = S/2 hbar, kappa = 0.
-    Within 1e-12 energy scales of the barrier top the tunneling action
-    takes its limit there, Seps = 0 and kappa = 1.
     """
     info = act._context(params)
     Er, shaped = act._rows(E)
@@ -158,13 +156,7 @@ def _dw_eval(params: ModelParams, E):
     psi[one] = delta[one] = act.action(params, Er[one], lobe="total") / (2.0 * params.hbar)
     if two.size:
         left, right = act.lobe_phases(params, Er[two])
-        # Right at the top neither tunneling integral has its geometry yet.
-        gap = Er[two] - info.e_barr
-        gap[np.abs(gap) <= 1e-12 * params.energy_scale()] = 0.0
-        s_eps, kappa[two] = np.zeros(two.size), 1.0
-        for side, tunneling in ((gap < 0, act.tunneling_below), (gap > 0, act.tunneling_above)):
-            if side.any():
-                s_eps[side], kappa[two[side]] = tunneling(params, Er[two[side]])
+        s_eps, kappa[two] = act.tunneling(params, Er[two])
         psi[two] = left + right + act.phase_correction(s_eps)
         delta[two] = left - right
     return shaped(psi), shaped(_stable_alpha(delta, kappa))

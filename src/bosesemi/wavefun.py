@@ -114,11 +114,10 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
     grid = momentum_grid(params)
     p = grid * params.hbar
     inside = (lo.p < p) & (p < hi.p)
-    vals = np.empty_like(grid)
-    s = action_phase(params, E, p[inside])
-    vals[inside] = 2.0 * classical_density(params, E, p[inside]) * \
-        np.cos(s / params.hbar - 0.25 * np.pi) ** 2
-    vals[~inside] = forbidden_tail(params, E, p[~inside])
+    vals = _weight(params, E, p)
+    s = _phase(params, E, lo, p[inside])
+    vals[inside] *= 2.0 * np.cos(s / params.hbar - 0.25 * np.pi) ** 2
+    vals[~inside] *= 0.5 * np.exp(-2.0 * _decay(params, E, lo, hi, p[~inside]) / params.hbar)
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
                                 kind="primitive", state_index=int(n),
                                 energy=float(E))

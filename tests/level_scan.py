@@ -1,4 +1,4 @@
-"""Level scan: the semiclassical spectrum at 225 fixed parameter points,
+"""Level scan: the semiclassical spectrum at 226 fixed parameter points,
 to compare two checkouts level by level.
 
     PYTHONPATH=src python tests/level_scan.py OUT.json
@@ -11,7 +11,7 @@ to compare two checkouts level by level.
 The package is imported from PYTHONPATH, so the same script scans any
 checkout; without it, the ``src`` next to this file is used.  The
 points are N in {5, 10, 20, 40} x g*Ns in {-0.5, -1.2, -3, -6, -12} x
-11 biases in [-2.5, 2.5], plus five larger or hand-picked ones; a scan
+11 biases in [-2.5, 2.5], plus six larger or hand-picked ones; a scan
 takes a few seconds.  The name has no ``test_`` prefix, so pytest does
 not collect it.
 """
@@ -27,7 +27,8 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 POINTS = [(N, g_ns, float(eps)) for N in (5, 10, 20, 40)
           for g_ns in (-0.5, -1.2, -3.0, -6.0, -12.0)
           for eps in np.linspace(-2.5, 2.5, 11)] + \
-    [(200, -3.0, 0.3), (400, -3.0, 0.6), (80, -3.0, 0.7), (100, -0.6, 0.6), (80, -3.0, 0.8237)]
+    [(200, -3.0, 0.3), (400, -3.0, 0.6), (80, -3.0, 0.7), (100, -0.6, 0.6), (80, -3.0, 0.8237),
+     (200, -6.0, 0.31757286071777335)]
 
 
 def scan():
