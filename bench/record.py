@@ -1,0 +1,154 @@
+"""Paired benchmark record: a base revision against this checkout.
+
+    python3 bench/record.py --base REV --label NAME [--seeds K]
+
+Exports the committed files of the base revision into a temporary
+directory (``git archive``), then runs
+
+    python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
+
+on base and on this checkout (head, uncommitted changes included) in
+alternation, for every workload W that ``BENCHMARK.json`` declares, at
+its ``run_seconds`` S, over seeds s = 1..K.  The side that runs first
+swaps from seed to seed, so a slow drift of the machine falls on both
+sides alike.
+
+Writes ``BENCH_<label>.json`` at the root of the checkout: per workload
+every run's metrics, operation counts and ``correct`` flag, and per
+end-to-end metric both sides' medians and quartiles, the median and
+quartiles of the per-seed ratios head / base, and the number of seeds on
+which head is better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _export(rev, into):
+    """Write the committed files of revision ``rev`` into directory ``into``."""
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", into], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def _run(checkout, workload, seed, seconds):
+    """One ``perfbench/run.py --trace 0`` run; returns its final JSON object."""
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
+    proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        # run.py stops its worker on SIGTERM.
+        if proc.poll() is None:
+            proc.terminate()
+            proc.wait()
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode}:\n{stderr}")
+    return json.loads(stdout.splitlines()[-1])
+
+
+def _quartiles(xs):
+    """(q1, median, q3) of the values xs."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def _summary(base, head, better):
+    """Both sides' values with their medians and quartiles, the median and
+    quartiles of the paired ratios head / base, and the number of pairs
+    in which head is better (ties count for neither side)."""
+    ratios = [h / b for b, h in zip(base, head)]
+    sign = 1.0 if better == "higher" else -1.0
+    out = {"base": base, "head": head,
+           "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+           "pairs": len(ratios)}
+    for name, xs in (("base", base), ("head", head), ("ratio", ratios)):
+        out[f"{name}_q1"], out[f"{name}_median"], out[f"{name}_q3"] = _quartiles(xs)
+    return out
+
+
+def record(base_dir, bench, seeds):
+    out = {}
+    for w in (w["name"] for w in bench["workloads"]):
+        runs = []
+        for seed in seeds:
+            sides = (("base", base_dir), ("head", ROOT))
+            for side, checkout in sides if seed % 2 else sides[::-1]:
+                print(f"{time.strftime('%H:%M:%S')} {w} seed {seed} {side}",
+                      file=sys.stderr, flush=True)
+                res = _run(checkout, w, seed, bench["run_seconds"])
+                runs.append({"seed": seed, "side": side, "correct": res["correct"],
+                             "attempted": res["attempted"], "failed": res["failed"],
+                             "metrics": {k: m["value"] for k, m in res["metrics"].items()}})
+        metrics = {}
+        for decl in bench["end_to_end"]:
+            side = lambda s: [r["metrics"][decl["name"]] for r in runs if r["side"] == s]
+            metrics[decl["name"]] = {"unit": decl["unit"], "better": decl["better"],
+                                     **_summary(side("base"), side("head"), decl["better"])}
+        out[w] = {"runs": runs, "metrics": metrics}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="base revision")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--seeds", type=int, default=3, help="seeds 1..K (default 3)")
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    seeds = list(range(1, args.seeds + 1))
+    base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    head = {"rev": _git("rev-parse", "HEAD"),
+            "uncommitted_changes": bool(_git("status", "--porcelain"))}
+    # On SIGTERM, unwind so that the running benchmark and the exported
+    # checkout are cleaned up.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    start = time.time()
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as base_dir:
+        _export(base_rev, base_dir)
+        results = record(base_dir, bench, seeds)
+    doc = {"label": args.label, "base": {"rev": base_rev}, "head": head,
+           "command": "perfbench/run.py --trace 0", "seconds": bench["run_seconds"],
+           "seeds": seeds,
+           "machine": {"platform": platform.platform(), "python": platform.python_version(),
+                       "cpus": os.cpu_count()},
+           "wall_s": round(time.time() - start, 1), "workloads": results}
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for w, res in results.items():
+        for name, m in res["metrics"].items():
+            print(f"{w:14s} {name:12s} base {m['base_median']:.4g}  head {m['head_median']:.4g}"
+                  f"  ratio {m['ratio_median']:.3f} [{m['ratio_q1']:.3f}, {m['ratio_q3']:.3f}]"
+                  f"  head better in {m['head_wins']}/{m['pairs']}")
+    print(f"wrote {os.path.relpath(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

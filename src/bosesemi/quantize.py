@@ -46,12 +46,15 @@ def _bisect(f, a, b, fa=None, fb=None):
     """Bracketed root refinement of every bracket [a[j], b[j]] in lockstep,
     by false position with the Illinois step (Dowell and Jarratt, BIT 11,
     1971): an end kept twice in a row has its value halved, so both ends
-    close in.  A step not strictly inside its bracket falls back to the
-    midpoint; a bracket stops at adjacent floats.
+    close in.  A step on or outside an end moves one ulp inside (Brent's
+    minimal step), so an end on the root closes its bracket with one more
+    evaluation; a step that is not finite takes the midpoint.  A bracket
+    stops at adjacent floats.
 
     ``f(x, rows)`` returns the function of bracket ``rows[j]`` at
     ``x[j]``, so each step is one call for all brackets still open.
-    Returns the roots laid out like a and b, a float for scalar ends.
+    Returns (root, |f(root)|), the final bracket's end with the smaller
+    |f|, laid out like a and b: floats for scalar ends.
     """
     shape = np.broadcast(a, b).shape
     flat = lambda x: np.array(np.broadcast_to(x, shape), dtype=float).reshape(-1)
@@ -61,36 +64,40 @@ def _bisect(f, a, b, fa=None, fb=None):
     fb = f(b, rows) if fb is None else flat(fb)
     if np.any(fa * fb > 0):
         raise QuantizationError("root bracket lost")
-    root = np.where(fa == 0, a, b)
-    # The open brackets, compacted; last says whether the last step moved
-    # b (1) or a (0), and is -1 before the first step.
+    root, resid = np.where(fa == 0, a, b), np.zeros(a.size)
+    # The open brackets, compacted; ga and gb are the ends' unhalved values,
+    # last says whether the last step moved b (1) or a (0), -1 at first.
     live = (fa != 0) & (fb != 0)
     a, b, fa, fb, rows = a[live], b[live], fa[live], fb[live], rows[live]
-    last = np.full(rows.size, -1.0)
+    ga, gb, last = fa, fb, np.full(rows.size, -1.0)
+
+    def close(done):
+        nearer = np.abs(ga[done]) < np.abs(gb[done])
+        root[rows[done]] = np.where(nearer, a[done], b[done])
+        resid[rows[done]] = np.abs(np.where(nearer, ga[done], gb[done]))
+        return (x[~done] for x in (a, b, fa, fb, ga, gb, last, rows))
+
     for _ in range(200):
+        with np.errstate(invalid="ignore", over="ignore"):
+            mid = b - fb * (b - a) / (fb - fa)
+        mid = np.where(np.isfinite(mid), np.clip(mid, np.nextafter(a, b), np.nextafter(b, a)),
+                       0.5 * (a + b))
+        done = ~((a < mid) & (mid < b))
+        a, b, fa, fb, ga, gb, last, rows = close(done)
+        mid = mid[~done]
         if not rows.size:
             break
-        mid = b - fb * (b - a) / (fb - fa)
-        inside = (a < mid) & (mid < b)
-        if not inside.all():
-            mid = np.where(inside, mid, 0.5 * (a + b))
-            inside = (a < mid) & (mid < b)
-            root[rows[~inside]] = mid[~inside]
-            a, b, fa, fb, last, rows, mid = (x[inside] for x in (a, b, fa, fb, last, rows, mid))
-            if not rows.size:
-                break
         fm = f(mid, rows)
         right = (fm < 0) == (fb < 0)  # mid replaces b
         # The end kept in place twice in a row has its value halved.
         h = np.where(right == last, 0.5, 1.0)
         fa, fb = np.where(right, h * fa, fm), np.where(right, fm, h * fb)
+        ga, gb = np.where(right, ga, fm), np.where(right, fm, gb)
         a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
-        zero = fm == 0
-        if zero.any():
-            root[rows[zero]] = mid[zero]
-            a, b, fa, fb, last, rows = (x[~zero] for x in (a, b, fa, fb, last, rows))
-    root[rows] = 0.5 * (a + b)
-    return float(root[0]) if not shape else root.reshape(shape)
+        a, b, fa, fb, ga, gb, last, rows = close(fm == 0)
+    close(np.ones(rows.size, dtype=bool))
+    root, resid = root.reshape(shape), resid.reshape(shape)
+    return (float(root), float(resid)) if not shape else (root, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,7 @@ def quantize_single(params: ModelParams, n: int) -> float:
     # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
     # at the ends are too small to integrate at full precision.
     s_max = 2.0 * np.pi * params.hbar * params.Ns
-    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)
+    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +208,9 @@ def _bracket_roots(ev, grid, vals, scale):
 
     ``ev(E)`` returns (psi, alpha) at an array of energies and ``vals``
     is its value on ``grid``.  Every bracket is refined at once, one
-    ``ev`` call per step.  Returns (root, (2 pi k, sign)) pairs in sign,
-    interval, k order; the pair names the root's branch.
+    ``ev`` call per step.  Returns (root, (2 pi k, sign), residual)
+    triples in sign, interval, k order; the pair names the root's branch
+    and the residual is |psi -+ alpha - 2 pi k| at the root.
     """
     psi, alpha = vals
     lo, target, signs = [], [], []
@@ -228,8 +236,8 @@ def _bracket_roots(ev, grid, vals, scale):
         p, a = ev(E)
         return p - signs[rows] * a - target[rows]
 
-    roots = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep])
-    return list(zip(roots.tolist(), zip(target.tolist(), signs.tolist())))
+    roots, resid = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep])
+    return list(zip(roots.tolist(), zip(target.tolist(), signs.tolist()), resid.tolist()))
 
 
 def quantize_double(params: ModelParams):
@@ -253,12 +261,9 @@ def quantize_double(params: ModelParams):
     # branch; a branch yields twice only for a root on a grid point, which
     # both neighbouring brackets return.
     found = {}
-    for root, branch in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
-        found.setdefault(branch, root)
-    E = np.array(list(found.values()))
-    target, sign = np.array(list(found)).reshape(-1, 2).T
-    psi, alpha = _dw_eval(params, E)
-    resid = np.abs(psi - sign * alpha - target)
+    for root, branch, resid in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+        found.setdefault(branch, (root, resid))
+    E, resid = np.array(list(found.values())).reshape(-1, 2).T
     return sorted(((e, geo.region, geo.orbit_class, r) for e, geo, r in
                    zip(E.tolist(), act.turning_points(params, E), resid.tolist())),
                   key=lambda level: level[0])

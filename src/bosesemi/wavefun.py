@@ -155,10 +155,14 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     """Map a momentum to the harmonic-oscillator coordinate xi by
     matching accumulated phase; |xi| <= xi0 = sqrt(2n+1) on the allowed
     interval, continued through the decay integral outside it."""
-    xi0 = np.sqrt(2.0 * n + 1.0)
     lo, hi, _ = _orbit_interval(params, E)
     p = np.asarray(p, dtype=float)
-    ps = p.ravel()
+    return _shaped(_oscillator_xi(params, n, E, lo, hi, p.ravel()), p)
+
+
+def _oscillator_xi(params: ModelParams, n, E, lo, hi, ps):
+    """``oscillator_coordinate`` on the momenta ps of the orbit lo..hi."""
+    xi0 = np.sqrt(2.0 * n + 1.0)
     allowed = (lo.p <= ps) & (ps <= hi.p)
     phase = _phase(params, E, lo, ps[allowed]) / params.hbar
     top = _ho_phase(xi0, xi0)
@@ -166,14 +170,15 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
         raise ValueError("phase outside the oscillator mapping range")
     xi = np.empty_like(ps)
     t = np.minimum(phase, top)
-    xi[allowed] = _bisect(lambda x, rows: _ho_phase(x, xi0) - t[rows], -xi0, np.full(t.shape, xi0))
+    xi[allowed] = _bisect(lambda x, rows: _ho_phase(x, xi0) - t[rows],
+                          -xi0, np.full(t.shape, xi0))[0]
     # Forbidden side: match the decay integral with |xi| beyond xi0; it
     # exceeds (xi - xi0)^2 / 2, which bounds the root.
     decay = _decay(params, E, lo, hi, ps[~allowed]) / params.hbar
     xi[~allowed] = _bisect(lambda x, rows: _ho_decay(x, xi0) - decay[rows],
-                           xi0, xi0 + 1.0 + np.sqrt(2.0 * decay))
+                           xi0, xi0 + 1.0 + np.sqrt(2.0 * decay))[0]
     xi[ps < lo.p] *= -1.0
-    return _shaped(xi, p)
+    return xi
 
 
 def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -199,7 +204,7 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     d_lo, d_hi = np.abs(p - lo.p), np.abs(p - hi.p)
     nudge = 1e-6 * pscale * np.where(d_lo < d_hi, 1.0, -1.0)
     p = np.where(np.minimum(d_lo, d_hi) < 1e-9 * pscale, p + nudge, p)
-    xi = oscillator_coordinate(params, n, E, p)
+    xi = _oscillator_xi(params, n, E, lo, hi, p)
     envelope = np.abs(_weight(params, E, p) * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
     vals = envelope * _hermite_weight(n, xi)
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),

@@ -16,6 +16,7 @@ from bosesemi.quantize import (
     sweep_epsilon,
 )
 from bosesemi.quantum import exact_spectrum
+from bosesemi.wavefun import _ho_decay
 from reference_data import semiclassical_column
 
 TABLE_PARAMS = {eps: ModelParams(N=20, eps=eps, v=1.0, g=-3.0 / 21.0)
@@ -122,9 +123,10 @@ def test_upper_minimum_sliver_at_large_n():
 
 
 def test_level_refinement_budget(monkeypatch):
-    # The root refiner stops near the root instead of halving its bracket
-    # down to adjacent floats; each row of the batched quartic solver is
-    # one energy evaluated.
+    # Each row of the batched quartic solver is one energy evaluated: every
+    # refinement step, and for a spectrum every grid pass as well (26.9
+    # rows per level at eps=1.5 with the midpoint fallback, 22.4 with the
+    # one-ulp minimal step).
     real, rows = act.quartic_rows, []
     monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
     act._orbit.cache_clear()
@@ -133,14 +135,37 @@ def test_level_refinement_budget(monkeypatch):
     act._orbit.cache_clear()
     rows.clear()
     spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
-    assert sum(rows) <= 35 * len(spec)
+    assert sum(rows) <= 25 * len(spec)
     # On a convex function plain false position keeps one end for good
     # and stalls; the Illinois step moves it (60 evaluations with the
     # guarded secant, none converged within 200 without the halving).
     x = []
-    root = _bisect(lambda e, _: x.append(e) or np.expm1(20.0 * e) - 1.0, 0.0, 1.0)
+    root, _ = _bisect(lambda e, _: x.append(e) or np.expm1(20.0 * e) - 1.0, 0.0, 1.0)
     assert root == pytest.approx(np.log(2.0) / 20.0, abs=1e-15)
     assert len(x) <= 40
+
+
+def test_refiner_endgame_takes_the_minimal_step():
+    # Once one end sits on the root every secant step rounds onto it; a
+    # step one ulp inside closes the bracket, where the midpoint fallback
+    # halved the other end down to adjacent floats (45 evaluations here).
+    x = []
+    root, resid = _bisect(lambda e, _: x.append(e) or _ho_decay(e, 1.0) - 0.1,
+                          1.0, 2.0 + np.sqrt(0.2))
+    assert len(x) <= 15
+    assert resid == abs(_ho_decay(root, 1.0) - 0.1) <= 1e-15
+    assert np.nextafter(root, 0.0) in x or np.nextafter(root, 3.0) in x
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
+def test_condition_evaluations_per_spectrum(monkeypatch, eps):
+    # Each grid pass and each lockstep refinement step is one call of the
+    # condition, and the refiner's own residuals leave no final call
+    # (31-35 calls with the midpoint fallback and a residual call).
+    real, calls = quantize._dw_eval, []
+    monkeypatch.setattr(quantize, "_dw_eval", lambda p, E: calls.append(1) or real(p, E))
+    assert len(semiclassical_spectrum(TABLE_PARAMS[eps])) == 21
+    assert len(calls) <= 12
 
 
 def test_doublet_splittings():
@@ -251,7 +276,7 @@ def test_printed_condition_variant_misses_doublets():
     scale = p.energy_scale()
     grid, _ = _phase_grid(p, act.barrier(p))
     ev = lambda E: tuple(np.array(v) for v in zip(*[_rhs_kappa_condition(p, e) for e in E]))
-    found = sorted(root for root, _ in _bracket_roots(ev, grid, ev(grid), scale))
+    found = sorted(root for root, *_ in _bracket_roots(ev, grid, ev(grid), scale))
     roots = []
     for r in found:
         if not roots or r - roots[-1] >= 1e-10 * scale:

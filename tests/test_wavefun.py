@@ -176,6 +176,19 @@ def test_oscillator_coordinate_special_points():
             wf.action_phase(SYM14, E, p) / SYM14.hbar, abs=1e-9)
 
 
+def test_one_orbit_lookup_per_state(monkeypatch):
+    # Each builder finds the orbit at a given energy once and hands it to
+    # every helper it calls.
+    params, n = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 3
+    E = quantize_single(params, n)
+    real, calls = act.turning_points, []
+    monkeypatch.setattr(act, "turning_points", lambda *a: calls.append(1) or real(*a))
+    for build in (wf.primitive_wavefunction, wf.uniform_wavefunction):
+        calls.clear()
+        build(params, n, E)
+        assert len(calls) == 1
+
+
 def test_uniform_matches_exact_ground_state():
     spec = exact_spectrum(BIASED14, want_vectors=True)
     ex = momentum_representation(spec, 0)
