@@ -16,8 +16,10 @@ sides alike.
 Writes ``BENCH_<label>.json`` at the root of the checkout: per workload
 every run's metrics, operation counts and ``correct`` flag, and per
 end-to-end metric both sides' medians and quartiles, the median and
-quartiles of the per-seed ratios head / base, and the number of seeds on
-which head is better.
+quartiles of the per-seed ratios head / base, the number of seeds on
+which head is better, and whether head's median is worse than base's by
+more than the metric's ``bound`` (relative, in the direction the metric
+counts as better); per workload also each side's failed operations.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def _summary(base, head, better):
     return out
 
 
+def _beyond_bound(base_median, head_median, better, bound):
+    """Whether head's median is worse than base's by more than the
+    relative ``bound``, in the direction ``better`` ("higher" or "lower")."""
+    if better == "higher":
+        return head_median < (1.0 - bound) * base_median
+    return head_median > (1.0 + bound) * base_median
+
+
 def record(base_dir, bench, seeds):
     out = {}
     for w in (w["name"] for w in bench["workloads"]):
@@ -106,9 +116,13 @@ def record(base_dir, bench, seeds):
         metrics = {}
         for decl in bench["end_to_end"]:
             side = lambda s: [r["metrics"][decl["name"]] for r in runs if r["side"] == s]
+            m = _summary(side("base"), side("head"), decl["better"])
+            m["beyond_bound"] = _beyond_bound(m["base_median"], m["head_median"],
+                                              decl["better"], decl["bound"])
             metrics[decl["name"]] = {"unit": decl["unit"], "better": decl["better"],
-                                     **_summary(side("base"), side("head"), decl["better"])}
-        out[w] = {"runs": runs, "metrics": metrics}
+                                     "bound": decl["bound"], **m}
+        failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("base", "head")}
+        out[w] = {"runs": runs, "failed": failed, "metrics": metrics}
     return out
 
 
@@ -142,10 +156,13 @@ def main(argv=None):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for w, res in results.items():
+        failed = res["failed"]
+        print(f"{w:14s} failed operations  base {failed['base']}  head {failed['head']}")
         for name, m in res["metrics"].items():
             print(f"{w:14s} {name:12s} base {m['base_median']:.4g}  head {m['head_median']:.4g}"
                   f"  ratio {m['ratio_median']:.3f} [{m['ratio_q1']:.3f}, {m['ratio_q3']:.3f}]"
-                  f"  head better in {m['head_wins']}/{m['pairs']}")
+                  f"  head better in {m['head_wins']}/{m['pairs']}"
+                  f"  worse beyond bound {m['bound']}: {'YES' if m['beyond_bound'] else 'no'}")
     print(f"wrote {os.path.relpath(path)}")
     return 0
 

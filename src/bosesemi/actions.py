@@ -107,7 +107,8 @@ class BarrierInfo:
     its momentum, the lower and upper well minima, and the top of the
     spectrum.  A single well is the landscape whose upper lobe is empty
     at every energy: its upper minimum and barrier lie at +inf, and
-    ``p_barr`` is NaN."""
+    ``p_barr`` is the rim p_max, so a cut there leaves the whole contour
+    on the left."""
     e_barr: float
     p_barr: float
     e_min_lower: float
@@ -125,7 +126,7 @@ def _context(params: ModelParams) -> BarrierInfo:
     if not minima or not maxima:
         raise GeometryError("phase space lacks a minimum/maximum pair")
     if not saddles:
-        return BarrierInfo(np.inf, np.nan, min(minima), np.inf, max(maxima))
+        return BarrierInfo(np.inf, params.p_max, min(minima), np.inf, max(maxima))
     return BarrierInfo(saddles[0].energy, saddles[0].p, min(minima), max(minima), max(maxima))
 
 
@@ -170,29 +171,18 @@ class _Contour(NamedTuple):
 
 def _orbit(params: ModelParams, E) -> _Contour:
     """The contours at the energies E, one row per energy, from one
-    stacked solve of the turning quartics.  The last batch solved is kept,
-    sorted by energy, so every consumer of a batch or of part of it reads
-    one solve."""
-    E = np.asarray(E, dtype=float).reshape(-1)
-    # A NaN matches no energy, so other parameters' batch is never read.
-    known = _memo["E"] if _memo["params"] == params else np.full(1, np.nan)
-    if E.size == known.size and (E == known).all():
-        return _memo["contour"]
-    pos = np.minimum(np.searchsorted(known, E), known.size - 1)
-    if (known[pos] == E).all():
-        return _Contour(*[x[pos] for x in _memo["contour"]])
-    if E.size == 1:  # already a sorted batch of distinct energies
-        _memo.update(params=params, E=E.copy(), contour=_solve_orbits(params, E))
-        return _memo["contour"]
-    known = np.unique(E)
-    _memo.update(params=params, E=known, contour=_solve_orbits(params, known))
-    pos = np.searchsorted(known, E)
-    return _Contour(*[x[pos] for x in _memo["contour"]])
+    stacked solve of the turning quartics.  The last batch asked for is
+    kept, keyed on the parameters and the energies themselves, so every
+    consumer of that same batch reads one solve and no lookup, from any
+    thread, returns another batch's contours."""
+    return _solve_orbits(params, np.asarray(E, dtype=float).reshape(-1).tobytes())
 
 
-def _solve_orbits(params: ModelParams, E) -> _Contour:
-    """The contours at the energies E from the turning quartics
-    [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2), one stacked solve."""
+@lru_cache(maxsize=1)
+def _solve_orbits(params: ModelParams, energies: bytes) -> _Contour:
+    """The contours at the energies E (as float64 bytes) from the turning
+    quartics [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2), one stacked solve."""
+    E = np.frombuffer(energies)
     ns, hbar, pmax = params.Ns, params.hbar, params.p_max
     G = params.g * ns
     A = E / ns - 0.5 * G
@@ -226,9 +216,7 @@ def _solve_orbits(params: ModelParams, E) -> _Contour:
     return _Contour(lead, roots, tp, upper, a, b, kind, (kind == _FORBIDDEN).cumsum(axis=1))
 
 
-# The last batch solved; the empty one answers empty requests.
-_memo = {"params": None, "E": None, "contour": _solve_orbits(ModelParams(N=1), np.empty(0))}
-_orbit.cache_clear = lambda: _memo.update(params=None)
+_orbit.cache_clear = _solve_orbits.cache_clear
 
 
 def _ncomp(orb: _Contour):
@@ -317,8 +305,16 @@ def _halves(orb: _Contour, pb):
     left half first.  Below the barrier its momentum lies in the
     forbidden gap, where min_q H = e_barr > E, so a cut there parts the
     two lobes."""
-    clip = lambda x: np.stack([np.minimum(x, pb), np.maximum(x, pb)], axis=1)
-    return clip(orb.a), clip(orb.b), np.stack([orb.kind, orb.kind], axis=1)
+    lo, hi = np.array([[-np.inf], [pb]]), np.array([[pb], [np.inf]])
+    clip = lambda x: np.minimum(np.maximum(x[:, None], lo), hi)
+    return clip(orb.a), clip(orb.b), np.repeat(orb.kind[:, None], 2, axis=1)
+
+
+def _half_areas(params, E, orb: _Contour, pb):
+    """The areas of the contours' parts on either side of momentum pb,
+    shape (rows, 2) with the left part first, from one quadrature."""
+    halves = (x.reshape(-1, 5) for x in _halves(orb, pb))
+    return _area_of(params, np.repeat(E, 2), *halves).reshape(-1, 2)
 
 
 def _lobe(params, orb: _Contour, lobe):
@@ -335,10 +331,7 @@ def _lobe(params, orb: _Contour, lobe):
         raise GeometryError("two disconnected orbits at this energy; pick lobe='left' or 'right'")
     if lobe in ("left", "right") and np.any(ncomp != 2):
         raise GeometryError(f"expected two orbit components, found {ncomp[ncomp != 2][0]}")
-    info = _context(params)
-    if info.e_barr == np.inf:
-        return orb.a, orb.b, orb.kind
-    halves = _halves(orb, info.p_barr)
+    halves = _halves(orb, _context(params).p_barr)
     if lobe in ("left", "right"):
         return tuple(x[:, int(lobe == "right")] for x in halves)
     return tuple(x.reshape(len(x), 10) for x in halves)
@@ -462,10 +455,18 @@ def tunneling(params: ModelParams, E):
     Er, shaped = _rows(E)
     if np.any(Er <= info.e_min_lower):
         raise GeometryError("no tunneling geometry below the well bottoms")
+    s_eps, kappa = _tunneling(params, info, Er, _orbit(params, Er))
+    return shaped(s_eps), shaped(kappa)
+
+
+def _tunneling(params: ModelParams, info: BarrierInfo, Er, orb: _Contour):
+    """(Seps, kappa) arrays of ``tunneling`` at the energies Er, from
+    their contour record ``orb``; a row without the turning points the
+    integral needs raises ``GeometryError``."""
     gap = Er - info.e_barr
     below = gap < -1e-12 * params.energy_scale()
     above = gap > 1e-12 * params.energy_scale()
-    orb, rows, pmax = _orbit(params, Er), np.arange(len(Er)), params.p_max
+    rows, pmax = np.arange(len(Er)), params.p_max
     inner = (orb.kind == _FORBIDDEN) & (orb.a > -pmax + 1e-9 * pmax) & (orb.b < pmax - 1e-9 * pmax)
     if not inner[below].any(axis=1).all():
         raise GeometryError("no interior forbidden gap at this energy")
@@ -491,7 +492,7 @@ def tunneling(params: ModelParams, E):
     s_eps = np.real(0.5j * (z2 - z1) + (-1j / np.pi) * (seg[:n] + seg[n:])) / params.hbar
     with np.errstate(over="ignore"):
         kappa = np.where(-np.pi * s_eps < 700, np.exp(-np.pi * s_eps), np.inf)
-    return shaped(s_eps), shaped(kappa)
+    return s_eps, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +514,5 @@ def lobe_phases(params: ModelParams, E):
     bad = ncomp[(Er < info.e_barr) & (ncomp != 2)]
     if bad.size:
         raise GeometryError(f"expected two orbit components below the barrier, found {bad[0]}")
-    area = _area_of(params, np.repeat(Er, 2),
-                    *(x.reshape(-1, 5) for x in _halves(orb, info.p_barr))) / (2.0 * params.hbar)
-    return shaped(area[0::2]), shaped(area[1::2])
+    area = _half_areas(params, Er, orb, info.p_barr) / (2.0 * params.hbar)
+    return shaped(area[:, 0]), shaped(area[:, 1])

@@ -150,23 +150,23 @@ def _dw_eval(params: ModelParams, E):
     for a scalar E and arrays for an array of energies.
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
-    roots sit at psi = 2 pi k +- alpha.  At or below the upper minimum,
-    below the barrier while the contour has fewer than two components,
-    and in a single well, the upper lobe is empty: psi = S/2 hbar, kappa = 0.
+    roots sit at psi = 2 pi k +- alpha.  Every term comes from one contour
+    record cut at the barrier momentum (a single well's is the rim).  At or
+    below the upper minimum, below the barrier while the contour has fewer
+    than two components, and in a single well, the upper lobe is empty:
+    Sr = 0 with the whole area in Sl, and kappa = 0.
     """
     info = act._context(params)
     Er, shaped = act._rows(E)
-    ncomp = act._ncomp(act._orbit(params, Er))
-    empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (ncomp < 2))
-    psi, delta, kappa = np.empty(len(Er)), np.empty(len(Er)), np.zeros(len(Er))
-    one, two = np.flatnonzero(empty), np.flatnonzero(~empty)
-    psi[one] = delta[one] = act.action(params, Er[one], lobe="total") / (2.0 * params.hbar)
-    if two.size:
-        left, right = act.lobe_phases(params, Er[two])
-        s_eps, kappa[two] = act.tunneling(params, Er[two])
-        psi[two] = left + right + act.phase_correction(s_eps)
-        delta[two] = left - right
-    return shaped(psi), shaped(_stable_alpha(delta, kappa))
+    orb = act._orbit(params, Er)
+    empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (act._ncomp(orb) < 2))
+    area = act._half_areas(params, Er, orb, info.p_barr)
+    sl = np.where(empty, area[:, 0] + area[:, 1], area[:, 0]) / (2.0 * params.hbar)
+    sr = np.where(empty, 0.0, area[:, 1]) / (2.0 * params.hbar)
+    two, s_eps, kappa = ~empty, np.zeros(len(Er)), np.zeros(len(Er))
+    if two.any():
+        s_eps[two], kappa[two] = act._tunneling(params, info, Er[two], orb._make(x[two] for x in orb))
+    return shaped(sl + sr + act.phase_correction(s_eps)), shaped(_stable_alpha(sl - sr, kappa))
 
 
 def _phase_grid(params: ModelParams, info: act.BarrierInfo):

@@ -3,7 +3,8 @@
 Only the continuous imaginary part along the line Re z = 1/2 is needed
 (the barrier connection phase), but the full log-gamma is exposed since
 it costs nothing extra and is easy to validate against high-precision
-references.
+references.  Its domain is the half-plane Re z >= 1/2; no reflection
+formula continues it further.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 # Lanczos coefficients, g = 7, 9 terms.  Good to ~1e-13 relative for
-# Re z > 0 after the reflection below.
+# Re z >= 1/2.
 _LANCZOS_G = 7.0
 _LANCZOS_C = np.array(
     [
@@ -31,24 +32,22 @@ _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def log_gamma(z):
-    """log Gamma(z) for complex z (or an array of them), principal branch
-    continued in Im.
+    """log Gamma(z) for complex z with Re z >= 1/2 (or an array of them),
+    principal branch continued in Im; raises ``ValueError`` for
+    Re z < 1/2.
 
     The imaginary part is computed without mod-2pi wrapping, which is what
     phase formulas built on arg Gamma require.
     """
     z = np.asarray(z, dtype=complex)
-    # Reflection log G(z) = log(pi/sin(pi z)) - log G(1 - z) for Re z < 1/2.
-    # Fine for the uses here (never called on the negative real axis).
-    reflect = z.real < 0.5
-    zz = np.where(reflect, 1.0 - z, z) - 1.0
+    if np.any(z.real < 0.5):
+        raise ValueError("log_gamma is defined here for Re z >= 1/2 only")
+    zz = z - 1.0
     series = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         series = series + _LANCZOS_C[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(series)
-    if reflect.any():
-        out[reflect] = np.log(np.pi / np.sin(np.pi * z[reflect])) - out[reflect]
     return out[()]
 
 

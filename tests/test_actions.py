@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,40 @@ def test_one_quartic_solve_per_energy(monkeypatch):
     assert sum(rows) == 2
     assert both == [solves(act.lobe_phases, params, -55.0)[1] for params in (SUPER21, other)]
     assert act.action(sym, np.array(E)) == act.action(sym, E)
+
+
+def test_orbit_cache_is_safe_across_threads():
+    # Two threads on different parameters share the one-batch contour
+    # cache; a thread switch between its lookup and its use must not hand
+    # one thread the other's contour.  Switching every microsecond makes
+    # such an interleaving likely within 3,000 calls each.
+    sets = [(p, np.linspace(*act.classical_range(p), 32)[1:-1])
+            for p in (SUPER21, BENCH_SETS[2])]
+    serial = [[act.action(p, e, lobe="total") for e in es] for p, es in sets]
+    results, errors, start = [None, None], [], threading.Barrier(2)
+
+    def run(i):
+        p, es = sets[i]
+        try:
+            start.wait(timeout=60)
+            results[i] = [[act.action(p, e, lobe="total") for e in es] for _ in range(100)]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for got, want in zip(results, serial):
+        assert all(r == want for r in got)
 
 
 def test_period_linear_case():

@@ -122,6 +122,27 @@ def test_upper_minimum_sliver_at_large_n():
     assert np.max(np.abs(sc - ex)) <= 0.002 * (ex[-1] - ex[0]) / 200
 
 
+def test_condition_reads_one_contour_record(monkeypatch):
+    # A batch across regions I-III is one quartic solve of all its rows
+    # and two quadratures: the lobe areas of the record cut at the
+    # barrier momentum, and the tunneling integral of the rows whose
+    # upper lobe is present.
+    params = TABLE_PARAMS[0.5]
+    e_min, e_max = act.classical_range(params)
+    E = np.linspace(e_min, e_max, 43)[1:-1]
+    assert {g.region for g in act.turning_points(params, E)} == {"I", "II", "III"}
+    solves, quads = [], []
+    real_solve, real_quad = act.quartic_rows, act.turning_point_rows
+    monkeypatch.setattr(act, "quartic_rows", lambda c: solves.append(len(c)) or real_solve(c))
+    monkeypatch.setattr(act, "turning_point_rows",
+                        lambda *a, **k: quads.append(1) or real_quad(*a, **k))
+    act._orbit.cache_clear()
+    psi, alpha = quantize._dw_eval(params, E)
+    assert solves == [41]
+    assert len(quads) == 2
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(alpha))
+
+
 def test_level_refinement_budget(monkeypatch):
     # Each row of the batched quartic solver is one energy evaluated: every
     # refinement step, and for a spectrum every grid pass as well (26.9

@@ -53,3 +53,12 @@ def test_phase_correction_against_high_precision():
     x = 0.5
     ref = float(mpmath.im(mpmath.loggamma(mpmath.mpc(0.5, x))) - x * mpmath.log(x) + x)
     assert phase_correction(x) == pytest.approx(ref, abs=1e-12)
+
+
+def test_log_gamma_domain_is_the_right_half_plane():
+    # No caller needs Re z < 1/2, so no reflection formula serves it.
+    with pytest.raises(ValueError):
+        log_gamma(0.3)
+    with pytest.raises(ValueError):
+        log_gamma(np.array([0.5 + 1j, 0.49 - 2j]))
+    assert log_gamma(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-13)
