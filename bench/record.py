@@ -17,9 +17,16 @@ Writes ``BENCH_<label>.json`` at the root of the checkout: per workload
 every run's metrics, operation counts and ``correct`` flag, and per
 end-to-end metric both sides' medians and quartiles, the median and
 quartiles of the per-seed ratios head / base, the number of seeds on
-which head is better, and whether head's median is worse than base's by
+which head is better, whether head's median is worse than base's by
 more than the metric's ``bound`` (relative, in the direction the metric
-counts as better); per workload also each side's failed operations.
+counts as better), and whether a gain is shown (``gain_shown``: head is
+better in at least 9 of 10 pairs, and its median is better than base's
+by more than base's quartile distance); per workload also each side's
+failed operations.
+
+After the paired runs, each side runs every workload once more with
+``--trace 1`` at seed 1, and the record keeps those per-layer metrics
+under ``layers: {base, head}``.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ def _export(rev, into):
         raise SystemExit(f"git archive {rev} failed")
 
 
-def _run(checkout, workload, seed, seconds):
-    """One ``perfbench/run.py --trace 0`` run; returns its final JSON object."""
+def _run(checkout, workload, seed, seconds, trace=0):
+    """One ``perfbench/run.py`` run; returns its final JSON object."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     try:
@@ -80,8 +87,10 @@ def _quartiles(xs):
 
 def _summary(base, head, better):
     """Both sides' values with their medians and quartiles, the median and
-    quartiles of the paired ratios head / base, and the number of pairs
-    in which head is better (ties count for neither side)."""
+    quartiles of the paired ratios head / base, the number of pairs in
+    which head is better (ties count for neither side), and whether that
+    shows a gain: head better in at least 9 of 10 pairs, and its median
+    better than base's by more than base's quartile distance."""
     ratios = [h / b for b, h in zip(base, head)]
     sign = 1.0 if better == "higher" else -1.0
     out = {"base": base, "head": head,
@@ -89,6 +98,9 @@ def _summary(base, head, better):
            "pairs": len(ratios)}
     for name, xs in (("base", base), ("head", head), ("ratio", ratios)):
         out[f"{name}_q1"], out[f"{name}_median"], out[f"{name}_q3"] = _quartiles(xs)
+    out["gain_shown"] = (10 * out["head_wins"] >= 9 * out["pairs"]
+                         and sign * (out["head_median"] - out["base_median"])
+                         > out["base_q3"] - out["base_q1"])
     return out
 
 
@@ -122,7 +134,13 @@ def record(base_dir, bench, seeds):
             metrics[decl["name"]] = {"unit": decl["unit"], "better": decl["better"],
                                      "bound": decl["bound"], **m}
         failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("base", "head")}
-        out[w] = {"runs": runs, "failed": failed, "metrics": metrics}
+        layers = {}
+        for side, checkout in (("base", base_dir), ("head", ROOT)):
+            print(f"{time.strftime('%H:%M:%S')} {w} seed 1 {side} --trace 1",
+                  file=sys.stderr, flush=True)
+            res = _run(checkout, w, 1, bench["run_seconds"], trace=1)
+            layers[side] = {k: m["value"] for k, m in res["metrics"].items()}
+        out[w] = {"runs": runs, "failed": failed, "metrics": metrics, "layers": layers}
     return out
 
 
@@ -146,7 +164,8 @@ def main(argv=None):
         _export(base_rev, base_dir)
         results = record(base_dir, bench, seeds)
     doc = {"label": args.label, "base": {"rev": base_rev}, "head": head,
-           "command": "perfbench/run.py --trace 0", "seconds": bench["run_seconds"],
+           "command": "perfbench/run.py --trace 0; layers: --trace 1 at seed 1",
+           "seconds": bench["run_seconds"],
            "seeds": seeds,
            "machine": {"platform": platform.platform(), "python": platform.python_version(),
                        "cpus": os.cpu_count()},
@@ -162,7 +181,8 @@ def main(argv=None):
             print(f"{w:14s} {name:12s} base {m['base_median']:.4g}  head {m['head_median']:.4g}"
                   f"  ratio {m['ratio_median']:.3f} [{m['ratio_q1']:.3f}, {m['ratio_q3']:.3f}]"
                   f"  head better in {m['head_wins']}/{m['pairs']}"
-                  f"  worse beyond bound {m['bound']}: {'YES' if m['beyond_bound'] else 'no'}")
+                  f"  worse beyond bound {m['bound']}: {'YES' if m['beyond_bound'] else 'no'}"
+                  f"  gain shown: {'yes' if m['gain_shown'] else 'no'}")
     print(f"wrote {os.path.relpath(path)}")
     return 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ class ModelParams:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        for name in ("eps", "v", "g", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar!r}")
         object.__setattr__(self, "N", int(self.N))

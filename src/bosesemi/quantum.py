@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .tridiag import tridiag_eigh
+from .tridiag import dense_tridiagonal, tridiag_eigh
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,7 @@ class TridiagonalHamiltonian:
     symmetrized: bool
 
     def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.offdiag, 1)
-            + np.diag(self.offdiag, -1)
-        )
+        return dense_tridiagonal(self.diag, self.offdiag)
 
 
 def build_hamiltonian(params: ModelParams, symmetrized=True) -> TridiagonalHamiltonian:
@@ -60,12 +56,8 @@ class Spectrum:
 def diagonalize(ham: TridiagonalHamiltonian, want_vectors=False) -> Spectrum:
     """All N + 1 eigenvalues (ascending), optionally with orthonormal
     eigenvectors whose first nonzero component is positive."""
-    res = tridiag_eigh(ham.diag, ham.offdiag, want_vectors=want_vectors)
-    if want_vectors:
-        w, vec = res
-        return Spectrum(params=ham.params, energies=w, eigenvectors=vec,
-                        symmetrized=ham.symmetrized)
-    return Spectrum(params=ham.params, energies=res[0], eigenvectors=None,
+    w, *vec = tridiag_eigh(ham.diag, ham.offdiag, want_vectors=want_vectors)
+    return Spectrum(params=ham.params, energies=w, eigenvectors=vec[0] if vec else None,
                     symmetrized=ham.symmetrized)
 
 

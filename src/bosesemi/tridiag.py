@@ -3,10 +3,10 @@
 The Hamiltonian in the number basis is exactly tridiagonal, so this is
 the whole linear-algebra core of the exact side.
 
-- Eigenvalues alone: Sturm-count bisection (Barth, Martin and Wilkinson,
-  Numer. Math. 9, 1967; LAPACK's ``dstebz``), all eigenvalues at once.
-  It needs O(n) memory, so the large-N level densities never form the
-  dense matrix.
+- Eigenvalues alone: LAPACK through ``np.linalg.eigvalsh`` on the dense
+  matrix while it fits in 1 MB (n <= 350); above that, Sturm-count bisection
+  (Barth, Martin and Wilkinson, Numer. Math. 9, 1967; LAPACK's ``dstebz``)
+  in O(n) memory, so the large-N level densities never form the matrix.
 - With eigenvectors: LAPACK through ``np.linalg.eigh`` on the dense
   matrix.  A matrix equal to its own reflection i -> n-1-i (the model at
   eps = 0) is diagonalized on its even and odd blocks, so a doublet that
@@ -16,6 +16,8 @@ the whole linear-algebra core of the exact side.
 from __future__ import annotations
 
 import numpy as np
+
+_DENSE_MAX_N = 350  # a dense 350 x 350 float64 matrix takes 980 kB
 
 
 def tridiag_eigh(diag, offdiag, want_vectors=False):
@@ -29,12 +31,24 @@ def tridiag_eigh(diag, offdiag, want_vectors=False):
     e = np.array(offdiag, dtype=float)
     if e.size != d.size - 1:
         raise ValueError(f"offdiag must have length {d.size - 1}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("matrix entries must be finite")
     if not want_vectors:
-        return (_bisect(d, e),)
+        dense = d.size <= _DENSE_MAX_N
+        return (np.linalg.eigvalsh(dense_tridiagonal(d, e)) if dense else _bisect(d, e),)
     w, V = _parity_eigh(d, e)
     big = np.abs(V) > 1e-12 * np.max(np.abs(V), axis=0)
     V *= np.where(V[np.argmax(big, axis=0), np.arange(d.size)] < 0, -1.0, 1.0)
     return w, V
+
+
+def dense_tridiagonal(diag, offdiag):
+    """The symmetric tridiagonal matrix as one dense n x n array."""
+    n = diag.size
+    h = np.zeros((n, n))
+    for start, band in ((0, diag), (1, offdiag), (n, offdiag)):
+        h.reshape(-1)[start :: n + 1] += band
+    return h
 
 
 def _bisect(d, e):
@@ -65,7 +79,7 @@ def _parity_eigh(d, e):
     """Dense eigh, split into the even and odd blocks of the reflection
     i -> n-1-i when the matrix equals its own reflection exactly."""
     n = d.size
-    h = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    h = dense_tridiagonal(d, e)
     if not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
         return np.linalg.eigh(h)
     flip, m = np.eye(n)[::-1], n // 2

@@ -3,8 +3,10 @@
 Each case runs ``bosesemi.cli.main(argv)`` in process and compares its
 stdout byte for byte with a file under ``tests/golden/``.  The cases
 leave out the exact eigenvector columns, whose last digits depend on
-the BLAS build; the exact eigenvalues come from Sturm bisection and do
-not.
+the BLAS build.  The exact eigenvalues of the N <= 80 spectra come from
+LAPACK too, but they are printed to 6 significant digits, so their
+BLAS-dependent last digits cannot show; the N=400 density takes its
+eigenvalues from Sturm bisection, which does not depend on the build.
 
 To rewrite the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and record the change.

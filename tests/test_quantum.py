@@ -67,6 +67,24 @@ def test_invalid_params_rejected():
         ModelParams(N=3, eps=0.0, v=1.0, g=0.0, hbar=0.0)
 
 
+@pytest.mark.parametrize("field", ["eps", "v", "g", "hbar"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_params_rejected(field, value):
+    # NaN passes the hbar <= 0 check, and a NaN or inf bias, coupling or
+    # interaction gave all-NaN or all-inf exact levels.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelParams(N=4, **{field: value})
+
+
+def test_cli_rejects_non_finite_params(capsys):
+    from bosesemi.cli import main
+    code = main(["spectrum", "--particles", "4", "--epsilon", "nan", "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps must be finite")
+
+
 def test_linear_case_spectrum():
     p = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
     e = exact_spectrum(p).energies

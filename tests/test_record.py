@@ -1,6 +1,6 @@
 """The paired-record summary in bench/record.py: quartiles, ratios,
-pair wins and the bound check in the direction each metric counts as
-better."""
+pair wins, the bound check and the gain rule in the direction each
+metric counts as better, and the traced per-layer runs."""
 
 import importlib.util
 from pathlib import Path
@@ -52,7 +52,7 @@ def test_record_sums_failed_operations_and_checks_each_bound(monkeypatch):
     record = _load_record()
     fake = {"base": (10.0, 2), "head": (7.0, 0)}  # ops_per_s and failed per run
 
-    def run(checkout, workload, seed, seconds):
+    def run(checkout, workload, seed, seconds, trace=0):
         ops, failed = fake["base" if checkout == "BASE" else "head"]
         return {"correct": True, "attempted": 50, "failed": failed,
                 "metrics": {"ops_per_s": {"value": ops}}}
@@ -65,3 +65,56 @@ def test_record_sums_failed_operations_and_checks_each_bound(monkeypatch):
     assert out["failed"] == {"base": 6, "head": 0}
     assert out["metrics"]["ops_per_s"]["beyond_bound"]
     assert out["metrics"]["ops_per_s"]["bound"] == 0.25
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_median_beyond_base_quartiles():
+    summary = _load_record()._summary
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # quartiles 12.25, 16.75
+    # Head better by 5 in every pair: median 19.5 beats 14.5 by more than 4.5.
+    assert summary(base, [b + 5.0 for b in base], "higher")["gain_shown"]
+    assert summary([-b for b in base], [-b - 5.0 for b in base], "lower")["gain_shown"]
+    # Better by 4 in every pair, less than base's quartile distance.
+    assert not summary(base, [b + 4.0 for b in base], "higher")["gain_shown"]
+    # Better by 20 in 9 pairs and a tie in one: 9 of 10 wins is enough ...
+    nine = [b + 20.0 for b in base[:9]] + [base[9]]
+    assert summary(base, nine, "higher")["head_wins"] == 9
+    assert summary(base, nine, "higher")["gain_shown"]
+    # ... but 8 of 10 is not, though the median gain is far beyond 4.5.
+    eight = [b + 20.0 for b in base[:8]] + [base[8], base[9] - 1.0]
+    assert summary(base, eight, "higher")["head_wins"] == 8
+    assert not summary(base, eight, "higher")["gain_shown"]
+    # A gain in the other direction is not a gain.
+    assert not summary(base, [b + 5.0 for b in base], "lower")["gain_shown"]
+
+
+def test_record_keeps_one_traced_run_per_side_at_seed_1(monkeypatch):
+    record = _load_record()
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout, workload, seed, trace))
+        side = "base" if checkout == "BASE" else "head"
+        if trace:
+            self_s = {"base": 0.008, "head": 0.0001}[side]
+            return {"correct": True, "attempted": 5, "failed": 0,
+                    "metrics": {"tridiag.self_s": {"value": self_s, "unit": "s"},
+                                "tridiag.calls": {"value": 7.0, "unit": "count"}}}
+        return {"correct": True, "attempted": 50, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 30.0, "unit": "op/s"}}}
+
+    monkeypatch.setattr(record, "_run", run)
+    bench = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 1,
+             "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
+                             "bound": 0.25}]}
+    out = record.record("BASE", bench, [1, 2, 3])
+    traced = [c for c in calls if c[3] == 1]
+    assert set(traced) == {("BASE", "w1", 1, 1), ("BASE", "w2", 1, 1),
+                           (record.ROOT, "w1", 1, 1), (record.ROOT, "w2", 1, 1)}
+    assert len(traced) == 4
+    assert len(calls) - len(traced) == 2 * 2 * 3
+    for w in ("w1", "w2"):
+        assert out[w]["layers"] == {
+            "base": {"tridiag.self_s": 0.008, "tridiag.calls": 7.0},
+            "head": {"tridiag.self_s": 0.0001, "tridiag.calls": 7.0}}
+        # The traced runs feed no end-to-end metric.
+        assert out[w]["metrics"]["ops_per_s"]["base"] == [30.0] * 3

@@ -1,7 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from bosesemi import tridiag
 from bosesemi.model import ModelParams
 from bosesemi.quantum import build_hamiltonian
 from bosesemi.tridiag import tridiag_eigh
@@ -9,6 +11,11 @@ from bosesemi.tridiag import tridiag_eigh
 
 def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _switch_sizes():
+    """The last size on the dense route and the first on Sturm bisection."""
+    return tridiag._DENSE_MAX_N, tridiag._DENSE_MAX_N + 1
 
 
 def test_small_known_matrix():
@@ -19,14 +26,17 @@ def test_small_known_matrix():
 def test_oracle_equivalence_parameter_grid():
     # Brute-force dense diagonalization as the independent route, over
     # all sizes up to 9x9, a grid of matrix contents and the Bose-Hubbard
-    # matrix at N=400, g*Ns=-3, eps=1; the eigenvalues computed with and
-    # without eigenvectors agree as well.
+    # matrix at g*Ns=-3, eps=1 at the last dense size, the first Sturm
+    # size and N=400; the eigenvalues computed with and without
+    # eigenvectors agree as well.  Sturm bisection is also checked
+    # directly, since the small matrices take the dense route.
     rng = np.random.default_rng(0)
     cases = [(rng.normal(scale=rng.uniform(0.5, 20.0), size=n),
               rng.normal(scale=rng.uniform(0.5, 20.0), size=n - 1))
              for n in range(2, 10) for _ in range(25)]
-    ham = build_hamiltonian(ModelParams(N=400, eps=1.0, v=1.0, g=-3.0 / 401.0))
-    cases.append((ham.diag, ham.offdiag))
+    for n in (*_switch_sizes(), 401):
+        ham = build_hamiltonian(ModelParams(N=n - 1, eps=1.0, v=1.0, g=-3.0 / n))
+        cases.append((ham.diag, ham.offdiag))
     for d, e in cases:
         w, = tridiag_eigh(d, e)
         w_vec, _ = tridiag_eigh(d, e, want_vectors=True)
@@ -35,6 +45,7 @@ def test_oracle_equivalence_parameter_grid():
         norm = np.linalg.norm(h, 2)
         assert np.max(np.abs(w - ref)) < 1e-13 * norm
         assert np.max(np.abs(w - w_vec)) < 1e-13 * norm
+        assert np.max(np.abs(tridiag._bisect(np.asarray(d), np.asarray(e)) - ref)) < 1e-13 * norm
 
 
 def test_eigenvectors_orthonormal_and_accurate():
@@ -80,6 +91,18 @@ def test_degenerate_and_trivial_cases():
         assert np.all(np.diff(w) >= 0)
 
 
+def test_non_finite_entries_rejected():
+    # LAPACK returns finite eigenvalues, [-1.414, 1.414], for the matrix
+    # with diag (nan, 1) and offdiag (1,).
+    for n in (2, *_switch_sizes()):
+        nan_diag, inf_off = np.ones(n), np.ones(n - 1)
+        nan_diag[0], inf_off[-1] = np.nan, np.inf
+        for d, e in ((nan_diag, np.ones(n - 1)), (np.ones(n), inf_off)):
+            for want_vectors in (False, True):
+                with pytest.raises(ValueError, match="finite"):
+                    tridiag_eigh(d, e, want_vectors=want_vectors)
+
+
 def test_parity_states_at_reflection_symmetric_matrix():
     # At eps=0 the deep doublets are degenerate below roundoff; each
     # eigenvector must still be a parity state, |V|^2 symmetric in n1.
@@ -92,12 +115,14 @@ def test_parity_states_at_reflection_symmetric_matrix():
 
 
 def test_eigenvalues_alone_need_no_dense_matrix():
-    # A dense 1001x1001 matrix takes 8 MB; bisection keeps O(n) arrays.
-    ham = build_hamiltonian(ModelParams(N=1000, eps=1.0, v=1.0, g=-3.0 / 1001.0))
-    tracemalloc.start()
-    try:
-        tridiag_eigh(ham.diag, ham.offdiag)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # A dense 1001x1001 matrix takes 8 MB; bisection keeps O(n) arrays,
+    # and the dense route is taken only while its matrix fits the bound.
+    for n in (*_switch_sizes(), 1001):
+        ham = build_hamiltonian(ModelParams(N=n - 1, eps=1.0, v=1.0, g=-3.0 / n))
+        tracemalloc.start()
+        try:
+            tridiag_eigh(ham.diag, ham.offdiag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, n
