@@ -257,46 +257,46 @@ def _speed_bracket(params: ModelParams, E):
     return bracket
 
 
+def _upper_empty(info: BarrierInfo, E, orb: _Contour):
+    """Where the upper lobe of the contours ``orb`` at E is empty: up to the
+    upper minimum, below the barrier on one component, and in a single well."""
+    return (E <= info.e_min_upper) | ((E < info.e_barr) & (_ncomp(orb) < 2))
+
+
 def turning_points(params: ModelParams, E):
     """Turning points with branch labels plus orbit classification; a
-    tuple of ``OrbitGeometry``, one per energy, for an array E."""
+    tuple of ``OrbitGeometry``, one per energy, for an array E.  Below the
+    barrier, region I has an empty upper lobe (``_upper_empty``) and II is
+    the ``double_well_pair``; other classes are the off-rim branch set."""
     info = _context(params)
     Er, _ = _rows(E)
     tol = 1e-12 * params.energy_scale()
     inside = (Er >= info.e_min_lower - tol) & (Er <= info.e_max + tol)
-    orb = _orbit(params, Er[inside])
-    orbits = iter(zip(orb.tp.tolist(), orb.upper.tolist()))
-    out = tuple(_classify(params, info, e, *next(orbits)) if ok else
+    orb, pmax, Ein = _orbit(params, Er[inside]), params.p_max, Er[inside]
+    # Turning point j lies between segments j and j+1; it goes where they
+    # share a kind or one is an empty segment between two turning points:
+    # a sliver, or the double root of a point orbit or a tangency.
+    real = ~np.isnan(orb.tp)
+    hollow = (orb.kind[:, 1:4] == _EMPTY) & real[:, 1:]
+    kept = real & (orb.kind[:, :4] != orb.kind[:, 1:])
+    kept[:, :3] &= ~hollow
+    kept[:, 1:] &= ~hollow
+    interior = kept & (np.abs(np.abs(orb.tp) - pmax) > 1e-9 * pmax)
+    use = np.where(interior.any(axis=1)[:, None], interior, kept)
+    minus, plus = (use & ~orb.upper).any(axis=1), (use & orb.upper).any(axis=1)
+    two = (Ein < info.e_barr) & ~_upper_empty(info, Ein, orb)
+    klass = np.where(two, "double_well_pair", np.where(
+        minus == plus, "rotor", np.where(minus, "min_encircling", "max_encircling")))
+    region = np.where(two, "II", np.where(Ein < info.e_barr, "I", "III")) if info.e_barr < np.inf \
+        else np.full(len(Ein), "single")
+    tps = (tuple(TurningPoint(p, "U+" if u else "U-") for p, u, k in zip(*row) if k)
+           for row in zip(orb.tp.tolist(), orb.upper.tolist(), kept.tolist()))
+    labels = zip(tps, klass.tolist(), region.tolist())
+    out = tuple(OrbitGeometry(e, *next(labels)) if ok else
                 OrbitGeometry(e, (), None, "single",
                               diagnostic="energy outside the classical range")
                 for e, ok in zip(Er.tolist(), inside.tolist()))
     return out[0] if np.ndim(E) == 0 else out
-
-
-def _classify(params, info, E, tp, upper):
-    """One in-range energy's geometry from its NaN-padded turning momenta
-    and their branch flags."""
-    tps = tuple(TurningPoint(p, "U+" if u else "U-") for p, u in zip(tp, upper) if p == p)
-    if info.e_barr == np.inf:
-        region = "single"
-    elif E <= info.e_min_upper:
-        region = "I"
-    elif E < info.e_barr:
-        region = "II"
-    else:
-        region = "III"
-    interior = [t for t in tps if abs(abs(t.p) - params.p_max) > 1e-9 * params.p_max]
-    if region == "II" and len(interior) >= 4:
-        klass = "double_well_pair"
-    else:
-        branches = {t.branch for t in interior} if interior else {t.branch for t in tps}
-        if branches == {"U-"}:
-            klass = "min_encircling"
-        elif branches == {"U+"}:
-            klass = "max_encircling"
-        else:
-            klass = "rotor"
-    return OrbitGeometry(E, tps, klass, region)
 
 
 def _halves(orb: _Contour, pb):
@@ -510,9 +510,7 @@ def lobe_phases(params: ModelParams, E):
     info = barrier(params)
     Er, shaped = _rows(E)
     orb = _orbit(params, Er)
-    ncomp = _ncomp(orb)
-    bad = ncomp[(Er < info.e_barr) & (ncomp != 2)]
-    if bad.size:
-        raise GeometryError(f"expected two orbit components below the barrier, found {bad[0]}")
+    if _upper_empty(info, Er, orb).any():
+        raise GeometryError("upper lobe empty: expected two orbit components below the barrier")
     area = _half_areas(params, Er, orb, info.p_barr) / (2.0 * params.hbar)
     return shaped(area[:, 0]), shaped(area[:, 1])

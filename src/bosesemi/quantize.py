@@ -104,10 +104,15 @@ def _bisect(f, a, b, fa=None, fb=None):
 # single-region quantization
 
 
+def _level_index(params: ModelParams, n):
+    """Raises ``ValueError`` unless n is an integer level index in 0..N."""
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= params.N):
+        raise ValueError(f"level index {n!r} is not an integer in 0..{params.N}")
+
+
 def quantize_single(params: ModelParams, n: int) -> float:
     """Root of S(E) = 2 pi hbar (n + 1/2), exploiting monotonicity."""
-    if not 0 <= n <= params.N:
-        raise ValueError(f"level index {n} outside 0..{params.N}")
+    _level_index(params, n)
     e_min, e_max = act.classical_range(params)
     target = 2.0 * np.pi * params.hbar * (n + 0.5)
 
@@ -151,15 +156,15 @@ def _dw_eval(params: ModelParams, E):
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
     roots sit at psi = 2 pi k +- alpha.  Every term comes from one contour
-    record cut at the barrier momentum (a single well's is the rim).  At or
-    below the upper minimum, below the barrier while the contour has fewer
-    than two components, and in a single well, the upper lobe is empty:
+    record cut at the barrier momentum (a single well's is the rim).  Where
+    the record's upper lobe is empty (``actions._upper_empty``: at or below
+    the upper minimum, a sliver above it, and every single-well energy)
     Sr = 0 with the whole area in Sl, and kappa = 0.
     """
     info = act._context(params)
     Er, shaped = act._rows(E)
     orb = act._orbit(params, Er)
-    empty = (Er <= info.e_min_upper) | ((Er < info.e_barr) & (act._ncomp(orb) < 2))
+    empty = act._upper_empty(info, Er, orb)
     area = act._half_areas(params, Er, orb, info.p_barr)
     sl = np.where(empty, area[:, 0] + area[:, 1], area[:, 0]) / (2.0 * params.hbar)
     sr = np.where(empty, 0.0, area[:, 1]) / (2.0 * params.hbar)

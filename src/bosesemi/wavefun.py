@@ -17,7 +17,7 @@ from . import actions as act
 from .model import ModelParams
 from .quad import turning_point_rows
 from .quantum import MomentumWavefunction, momentum_grid
-from .quantize import _bisect, quantize_single
+from .quantize import _bisect, _level_index, quantize_single
 
 
 def _orbit_interval(params: ModelParams, E):
@@ -31,7 +31,7 @@ def _orbit_interval(params: ModelParams, E):
     tps = geo.turning_points
     if len(tps) < 2:
         raise act.GeometryError("no classical orbit at this energy")
-    return tps[0], tps[-1], geo
+    return tps[0], tps[-1]
 
 
 def _shaped(val, p):
@@ -63,10 +63,15 @@ def _phase(params: ModelParams, E, lo, p):
 
 
 def _decay(params: ModelParams, E, lo, hi, p):
-    """Integral of |Im q| from the nearest turning point to each momentum,
-    all in one row-wise quadrature; zero on the allowed interval."""
-    return turning_point_rows(lambda rows, pp: act._imag_angle(params, E, pp),
-                              np.minimum(p, hi.p), np.maximum(p, lo.p), rtol=1e-11)
+    """Integral of |Im q| from the orbit to each momentum (zero on it), one
+    quadrature row per forbidden or open record segment on the way."""
+    orb = act._orbit(params, E)
+    a = np.maximum(orb.a[0], np.minimum(p, hi.p)[:, None])
+    b = np.minimum(orb.b[0], np.maximum(p, lo.p)[:, None])
+    piece = (b > a) & ((orb.kind[0] == act._FORBIDDEN) | (orb.kind[0] == act._OPEN))
+    return np.bincount(np.nonzero(piece)[0], turning_point_rows(
+        lambda rows, pp: act._imag_angle(params, E, pp), a[piece], b[piece], rtol=1e-11),
+        minlength=len(p))
 
 
 def classical_density(params: ModelParams, E, p):
@@ -76,7 +81,7 @@ def classical_density(params: ModelParams, E, p):
     Diverges at the turning points; that divergence integrates away and
     is cured pointwise by the uniform approximation.
     """
-    lo, hi, _ = _orbit_interval(params, E)
+    lo, hi = _orbit_interval(params, E)
     p = np.asarray(p, dtype=float)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
@@ -88,7 +93,7 @@ def action_phase(params: ModelParams, E, p):
 
     S grows from zero at p- and reaches the half-cycle phase at p+.
     """
-    lo, hi, _ = _orbit_interval(params, E)
+    lo, hi = _orbit_interval(params, E)
     p = np.asarray(p, dtype=float)
     if not np.all((lo.p <= p) & (p <= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
@@ -98,7 +103,7 @@ def action_phase(params: ModelParams, E, p):
 def forbidden_tail(params: ModelParams, E, p):
     """|Psi|^2 in the classically forbidden region: half the (modulus of
     the) classical weight damped by twice the imaginary action."""
-    lo, hi, _ = _orbit_interval(params, E)
+    lo, hi = _orbit_interval(params, E)
     p = np.asarray(p, dtype=float)
     decay = _decay(params, E, lo, hi, p.ravel())
     return _shaped(0.5 * _weight(params, E, p.ravel()) * np.exp(-2.0 * decay / params.hbar), p)
@@ -108,9 +113,9 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
     """Two-branch interference form 2 w(p) cos^2(S(p)/hbar - pi/4) on the
     allowed grid points, with decaying tails outside, renormalized to
     unit sum on the discrete grid."""
-    if E is None:
-        E = quantize_single(params, n)
-    lo, hi, _ = _orbit_interval(params, E)
+    _level_index(params, n)
+    E = quantize_single(params, n) if E is None else E
+    lo, hi = _orbit_interval(params, E)
     grid = momentum_grid(params)
     p = grid * params.hbar
     inside = (lo.p < p) & (p < hi.p)
@@ -155,7 +160,7 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     """Map a momentum to the harmonic-oscillator coordinate xi by
     matching accumulated phase; |xi| <= xi0 = sqrt(2n+1) on the allowed
     interval, continued through the decay integral outside it."""
-    lo, hi, _ = _orbit_interval(params, E)
+    lo, hi = _orbit_interval(params, E)
     p = np.asarray(p, dtype=float)
     return _shaped(_oscillator_xi(params, n, E, lo, hi, p.ravel()), p)
 
@@ -188,9 +193,9 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     Other turning-point geometries are not supported here; callers fall
     back to the primitive form with tails.
     """
-    if E is None:
-        E = quantize_single(params, n)
-    lo, hi, _ = _orbit_interval(params, E)
+    _level_index(params, n)
+    E = quantize_single(params, n) if E is None else E
+    lo, hi = _orbit_interval(params, E)
     if not (lo.branch == "U-" and hi.branch == "U-"):
         raise act.GeometryError(
             "uniform approximation implemented only for orbits with both "

@@ -6,7 +6,10 @@ to compare two checkouts level by level.
         orbit-class labels, or the text of the exception it raised;
     python tests/level_scan.py A.json B.json
         prints the worst level change in mean level spacings, the label
-        differences and the points whose outcome changed.
+        differences and the points whose outcome changed, and then, for
+        each scan, every level whose labels differ from those that
+        ``turning_points`` gives at its energy shifted by -1e-13 or
+        +1e-13 (SHIFT); B's shift changes count toward the exit status.
 
 The package is imported from PYTHONPATH, so the same script scans any
 checkout; without it, the ``src`` next to this file is used.  The
@@ -29,9 +32,11 @@ POINTS = [(N, g_ns, float(eps)) for N in (5, 10, 20, 40)
           for eps in np.linspace(-2.5, 2.5, 11)] + \
     [(200, -3.0, 0.3), (400, -3.0, 0.6), (80, -3.0, 0.7), (100, -0.6, 0.6), (80, -3.0, 0.8237),
      (200, -6.0, 0.31757286071777335)]
+SHIFT = 1e-13  # the absolute energy shift of the label stability check
 
 
 def scan():
+    from bosesemi.actions import turning_points
     from bosesemi.model import ModelParams
     from bosesemi.quantize import semiclassical_spectrum
 
@@ -40,18 +45,32 @@ def scan():
         params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
         try:
             levels = semiclassical_spectrum(params).levels
+            E = np.array([l.energy for l in levels])
+            shifted = [turning_points(params, E + d) for d in (-SHIFT, SHIFT)]
             out[repr((N, g_ns, eps))] = {
                 "levels": [repr(l.energy) for l in levels],
                 "regions": [l.region for l in levels],
-                "classes": [l.orbit_class for l in levels]}
+                "classes": [l.orbit_class for l in levels],
+                "shifted": [[[g.region, g.orbit_class] for g in pair] for pair in zip(*shifted)]}
         except Exception as exc:  # an outcome to record, not to stop at
             out[repr((N, g_ns, eps))] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
 
 
+def shift_changes(scan):
+    """(point, level, labels, labels at E - SHIFT, labels at E + SHIFT)
+    for every level of ``scan`` whose labels the shift changes; a scan
+    written before the check was added has none."""
+    return [(key, n, (r, c), *map(tuple, s)) for key, p in sorted(scan.items())
+            for n, (r, c, s) in enumerate(zip(p.get("regions", ()), p.get("classes", ()),
+                                              p.get("shifted", ())))
+            if any(tuple(x) != (r, c) for x in s)]
+
+
 def compare(a, b):
-    """Print how scan ``b`` differs from scan ``a``; return the number
-    of points whose outcome or labels changed."""
+    """Print how scan ``b`` differs from scan ``a`` and each scan's shift
+    changes; return the number of points whose outcome or labels changed
+    plus the number of ``b``'s levels whose labels the shift changes."""
     worst, moved, changed = (0.0, None), 0, 0
     for key in sorted(a.keys() | b.keys()):
         pa, pb = a.get(key, {"error": "missing"}), b.get(key, {"error": "missing"})
@@ -73,7 +92,12 @@ def compare(a, b):
     print(f"{len(b)} points, {sum('error' in p for p in b.values())} errors; "
           f"levels not bit-identical at {moved}, worst change {worst[0]:.3g} mean spacings "
           f"at {worst[1]}; {changed} points with a changed outcome or label")
-    return changed
+    for name, scan in (("A", a), ("B", b)):
+        flips = shift_changes(scan)
+        for key, n, labels, minus, plus in flips:
+            print(f"{name} {key}: level {n} {labels}, at E -+ {SHIFT:g}: {minus} {plus}")
+        print(f"{name}: {len(flips)} levels whose labels change under an energy shift of {SHIFT:g}")
+    return changed + len(flips)
 
 
 if __name__ == "__main__":

@@ -129,6 +129,35 @@ def test_turning_points_region_I_and_rotor():
     assert {t.branch for t in geo2.turning_points} == {"U-", "U+"}
 
 
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.5), (20, -12.0, 2.5), (80, -6.0, 2.0),
+                                        (80, -12.0, -1.5)])
+def test_turning_points_ignore_roundoff_at_the_upper_minimum(N, g_ns, eps):
+    # Within a few ulp of the upper well minimum roundoff leaves the upper
+    # lobe a complex pair, a double root, an allowed sliver or a real pair
+    # around a forbidden midpoint.  None of them is a turning point: the
+    # labels and turning points are those of the lower orbit alone.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info = act.barrier(p)
+    below = act.turning_points(p, info.e_min_upper - 1e-9 * p.energy_scale())
+    assert below.region == "I" and len(below.turning_points) == 2
+    for geo in act.turning_points(p, info.e_min_upper + 1e-13 * np.arange(-3, 4)):
+        assert (geo.region, geo.orbit_class) == (below.region, below.orbit_class)
+        assert [t.branch for t in geo.turning_points] == [t.branch for t in below.turning_points]
+
+
+@pytest.mark.parametrize("N,g_ns,eps", [(80, -12.0, 2.0), (20, -3.0, 0.5), (20, -0.5, 0.6),
+                                        (80, -6.0, 2.5)])
+def test_turning_points_none_at_the_ends_of_the_range(N, g_ns, eps):
+    # At the bottom and the top of the classical range the orbit is a
+    # point, a double root that roundoff leaves complex, split around an
+    # empty sliver or split around a forbidden midpoint.  Every form reads
+    # as no turning point; before, the split ones read as two.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    for geo in act.turning_points(p, np.array(act.classical_range(p))):
+        assert geo.turning_points == ()
+        assert geo.diagnostic is None
+
+
 def test_turning_points_out_of_range():
     geo = act.turning_points(SUPER21, 100.0)
     assert geo.turning_points == ()

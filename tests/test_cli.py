@@ -195,6 +195,17 @@ def test_wavefunction_deep_symmetric_doublet(capsys):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_wavefunction_primitive_on_the_upper_minimum(capsys):
+    # State 3 quantizes a few ulp above the upper well minimum, inside
+    # the roundoff sliver of the upper lobe; its primitive form builds.
+    code, out, err = run_cli(capsys, "wavefunction", "--particles", "20", "--g-over-ns", "-3",
+                             "--epsilon", "0.5", "--state", "3", "--method", "semiclassical")
+    assert code == 0
+    assert "primitive form unavailable" not in err
+    _, rows = parse_csv(out)
+    assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_wavefunction_quantizes_the_level_once(capsys, monkeypatch):
     # Both semiclassical forms are built at one quantized energy.
     from bosesemi import cli, quantize, wavefun

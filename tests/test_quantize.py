@@ -61,8 +61,9 @@ def test_single_phase_residual(N, g_ns, eps, states):
 
 def test_single_rejects_bad_index():
     p = ModelParams(N=4, eps=0.0, v=1.0, g=0.0)
-    with pytest.raises(ValueError):
-        quantize_single(p, 5)
+    for n in (-1, 5, 2.5):
+        with pytest.raises(ValueError, match="level index"):
+            quantize_single(p, n)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
@@ -73,18 +74,28 @@ def test_reference_semiclassical_n20(eps):
     assert np.max(np.abs(sc - ref)) <= 2e-3
 
 
-@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.5), (5, -6.0, 0.5), (20, -6.0, 1.0)])
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.5), (5, -6.0, 0.5), (20, -6.0, 1.0),
+                                        (20, -3.0, -0.5), (5, -6.0, 2.5)])
 def test_level_on_the_upper_minimum(N, g_ns, eps):
     # A lower-well level sits on the upper well minimum at these biases.
-    # Only the grid point there brackets it; its region follows its energy.
+    # Only the grid point there brackets it.  It lies a few ulp above the
+    # minimum, where roundoff leaves the upper lobe a sliver, a double
+    # root or nothing; the contour record counts each as an empty lobe,
+    # so the level is a region-I rotor, and every level's labels and
+    # turning points hold under a 1e-13 energy shift.  Before, they
+    # flipped to ("II", "double_well_pair") with the sliver's ends as
+    # turning points.
     p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
     spec = semiclassical_spectrum(p)
     assert len(spec) == N + 1
     dist = np.abs(spec.energies - act.barrier(p).e_min_upper)
     i = int(np.argmin(dist))
     assert dist[i] <= 1e-12 * p.energy_scale()
+    assert (spec.levels[i].region, spec.levels[i].orbit_class) == ("I", "rotor")
     for level in spec.levels:
-        assert level.region == act.turning_points(p, level.energy).region
+        at = [act.turning_points(p, level.energy + d) for d in (-1e-13, 0.0, 1e-13)]
+        assert [(g.region, g.orbit_class) for g in at] == [(level.region, level.orbit_class)] * 3
+        assert len({len(g.turning_points) for g in at}) == 1
     ex = exact_spectrum(p).energies
     assert abs(spec.energies[i] - ex[i]) <= 0.02 * (ex[-1] - ex[0]) / N
 

@@ -5,7 +5,7 @@ import pytest
 from bosesemi import actions as act
 from bosesemi import wavefun as wf
 from bosesemi.model import ModelParams
-from bosesemi.quantize import quantize_single
+from bosesemi.quantize import quantize_single, semiclassical_spectrum
 from bosesemi.quantum import exact_spectrum, momentum_representation
 
 BIASED14 = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
@@ -41,7 +41,7 @@ def test_uniform_finite_at_high_excitation():
 
 def test_classical_density_symmetry_and_norm():
     E = quantize_single(SYM14, 2)
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     p = np.linspace(lo.p + 0.05 * (hi.p - lo.p), hi.p - 0.05 * (hi.p - lo.p), 41)
     w = wf.classical_density(SYM14, E, p)
     assert np.allclose(w, w[::-1], rtol=1e-10)
@@ -58,7 +58,7 @@ def test_ground_state_concentrates_at_well_minimum():
     # localized around the stationary momentum.
     from bosesemi.meanfield import fixed_points
     E = quantize_single(BIASED14, 0)
-    lo, hi, _ = wf._orbit_interval(BIASED14, E)
+    lo, hi = wf._orbit_interval(BIASED14, E)
     pmin = min(fixed_points(BIASED14), key=lambda f: f.energy).p
     assert lo.p < pmin < hi.p
     assert hi.p - lo.p < 0.45 * 2 * BIASED14.p_max
@@ -70,7 +70,7 @@ def test_ground_state_concentrates_at_well_minimum():
 def test_action_phase_endpoints_and_monotonicity():
     n = 2
     E = quantize_single(SYM14, n)
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     assert wf.action_phase(SYM14, E, lo.p) == 0.0
     total = wf.action_phase(SYM14, E, hi.p - 1e-12)
     assert total == pytest.approx(np.pi * SYM14.hbar * (n + 0.5), abs=1e-8)
@@ -84,7 +84,7 @@ def test_action_phase_endpoints_and_monotonicity():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_primitive_interior_node_count(n):
     E = quantize_single(SYM14, n)
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     ps = np.linspace(lo.p + 1e-7, hi.p - 1e-7, 4001)
     phases = np.array([wf.action_phase(SYM14, E, p) for p in ps]) / SYM14.hbar
     signs = np.sign(np.cos(phases - 0.25 * np.pi))
@@ -115,7 +115,7 @@ def test_wavefunction_normalization_all_kinds():
 def test_tail_decays():
     n = 0
     E = quantize_single(BIASED14, n)
-    lo, hi, _ = wf._orbit_interval(BIASED14, E)
+    lo, hi = wf._orbit_interval(BIASED14, E)
     ps = np.linspace(hi.p + 0.2, min(hi.p + 8.0, BIASED14.p_max - 0.5), 12)
     tails = [wf.forbidden_tail(BIASED14, E, p) for p in ps]
     assert np.all(np.diff(tails) < 0)
@@ -130,7 +130,7 @@ def test_tail_decays():
 def test_momentum_arrays_match_scalar_calls(params):
     n = 1
     E = quantize_single(params, n)
-    lo, hi, _ = wf._orbit_interval(params, E)
+    lo, hi = wf._orbit_interval(params, E)
     inside = np.linspace(lo.p + 0.05 * (hi.p - lo.p), hi.p - 0.05 * (hi.p - lo.p), 5)
     closed = np.concatenate([[lo.p], inside, [hi.p]])
     both = np.concatenate([[0.5 * (lo.p - params.p_max)], inside,
@@ -156,7 +156,7 @@ def test_oscillator_coordinate_special_points():
     n = 2
     E = quantize_single(SYM14, n)
     xi0 = np.sqrt(2 * n + 1.0)
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     assert wf.oscillator_coordinate(SYM14, n, E, lo.p + 1e-10) == pytest.approx(-xi0, abs=1e-4)
     assert wf.oscillator_coordinate(SYM14, n, E, hi.p - 1e-10) == pytest.approx(xi0, abs=1e-4)
     # Bisect the momentum where the phase is half the total: xi = 0 there.
@@ -233,7 +233,7 @@ def test_uniform_finite_near_turning_points():
         spec = exact_spectrum(params, want_vectors=True)
         ex = momentum_representation(spec, n)
         uni = wf.uniform_wavefunction(params, n)
-        lo, hi, _ = wf._orbit_interval(params, uni.energy)
+        lo, hi = wf._orbit_interval(params, uni.energy)
         for tp in (lo.p, hi.p):
             i = int(np.argmin(np.abs(uni.grid * params.hbar - tp)))
             assert np.isfinite(uni.values[i])
@@ -258,7 +258,7 @@ def test_uniform_proportional_to_primitive_midorbit(n, spread):
     E = quantize_single(SYM14, n)
     prim = wf.primitive_wavefunction(SYM14, n)
     uni = wf.uniform_wavefunction(SYM14, n)
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     xi0 = np.sqrt(2 * n + 1)
     ratios = []
     for i, lab in enumerate(uni.grid):
@@ -280,7 +280,7 @@ def test_envelope_consistency():
     spec = exact_spectrum(SYM14, want_vectors=True)
     ex = momentum_representation(spec, n)
     E = float(spec.energies[n])
-    lo, hi, _ = wf._orbit_interval(SYM14, E)
+    lo, hi = wf._orbit_interval(SYM14, E)
     mid_idx = [i for i, lab in enumerate(ex.grid)
                if lo.p + 0.2 * (hi.p - lo.p) < lab * SYM14.hbar < hi.p - 0.2 * (hi.p - lo.p)]
     window = ex.values[mid_idx[0]:mid_idx[-1] + 1]
@@ -290,3 +290,26 @@ def test_envelope_consistency():
                               for lab in ex.grid[mid_idx[0]:mid_idx[-1] + 1]])) * 2 * SYM14.hbar
     assert avg == pytest.approx(expected, rel=0.15)
     assert pmid == pytest.approx(0.0, abs=2.1)
+
+
+@pytest.mark.parametrize("build", [wf.primitive_wavefunction, wf.uniform_wavefunction])
+def test_builders_reject_bad_level_index(build):
+    # With E given no quantizer checks n; the builders check it themselves.
+    E = quantize_single(SYM14, 2)
+    for n in (-1, SYM14.N + 1, 2.5):
+        with pytest.raises(ValueError, match="level index"):
+            build(SYM14, n, E)
+
+
+def test_primitive_state_on_the_upper_minimum():
+    # Level 3 sits a few ulp above the upper well minimum, where the
+    # upper lobe is a roundoff sliver 1e-6 wide.  The decay integral
+    # splits at the sliver instead of integrating across it; before, the
+    # level was labelled a double-well pair and had no primitive form.
+    # Measured total-variation distance to exact 0.150 (levels 0-2:
+    # 0.085-0.158).
+    p = ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)
+    E = semiclassical_spectrum(p).energies[3]
+    prim = wf.primitive_wavefunction(p, 3, E)
+    ex = momentum_representation(exact_spectrum(p, want_vectors=True), 3)
+    assert 0.5 * np.abs(prim.values - ex.values).sum() <= 0.2
