@@ -104,30 +104,33 @@ class OrbitGeometry:
 @dataclass(frozen=True)
 class BarrierInfo:
     """The landscape's energy landmarks: the barrier top (the saddle) and
-    its momentum, the lower and upper well minima, and the top of the
-    spectrum.  A single well is the landscape whose upper lobe is empty
-    at every energy: its upper minimum and barrier lie at +inf, and
-    ``p_barr`` is the rim p_max, so a cut there leaves the whole contour
-    on the left."""
+    its momentum, the lower and upper well minima, the top of the
+    spectrum, and the upper minimum's momentum.  A single well is the
+    landscape whose upper lobe is empty at every energy: its upper
+    minimum and barrier lie at +inf, and ``p_barr`` and ``p_min_upper``
+    are the rim p_max, so a cut there leaves the whole contour on the
+    left."""
     e_barr: float
     p_barr: float
     e_min_lower: float
     e_min_upper: float
     e_max: float
+    p_min_upper: float
 
 
 @lru_cache(maxsize=128)
 def _context(params: ModelParams) -> BarrierInfo:
     """The landmarks from the fixed points, cached per parameter set."""
     fps = fixed_points(params)
-    minima = [f.energy for f in fps if f.kind == "minimum"]
+    minima = sorted((f for f in fps if f.kind == "minimum"), key=lambda f: f.energy)
     maxima = [f.energy for f in fps if f.kind == "maximum"]
     saddles = [f for f in fps if f.kind == "saddle"]
     if not minima or not maxima:
         raise GeometryError("phase space lacks a minimum/maximum pair")
     if not saddles:
-        return BarrierInfo(np.inf, params.p_max, min(minima), np.inf, max(maxima))
-    return BarrierInfo(saddles[0].energy, saddles[0].p, min(minima), max(minima), max(maxima))
+        return BarrierInfo(np.inf, params.p_max, minima[0].energy, np.inf, max(maxima), params.p_max)
+    return BarrierInfo(saddles[0].energy, saddles[0].p, minima[0].energy, minima[-1].energy,
+                       max(maxima), minima[-1].p)
 
 
 def classical_range(params: ModelParams):
@@ -267,7 +270,8 @@ def turning_points(params: ModelParams, E):
     """Turning points with branch labels plus orbit classification; a
     tuple of ``OrbitGeometry``, one per energy, for an array E.  Below the
     barrier, region I has an empty upper lobe (``_upper_empty``) and II is
-    the ``double_well_pair``; other classes are the off-rim branch set."""
+    the ``double_well_pair``; other classes are the off-rim branch set,
+    and a point orbit has none."""
     info = _context(params)
     Er, _ = _rows(E)
     tol = 1e-12 * params.energy_scale()
@@ -287,6 +291,8 @@ def turning_points(params: ModelParams, E):
     two = (Ein < info.e_barr) & ~_upper_empty(info, Ein, orb)
     klass = np.where(two, "double_well_pair", np.where(
         minus == plus, "rotor", np.where(minus, "min_encircling", "max_encircling")))
+    # A point orbit (at a well bottom or the top) has no turning point and no class.
+    klass = np.where(kept.any(axis=1), klass, None)
     region = np.where(two, "II", np.where(Ein < info.e_barr, "I", "III")) if info.e_barr < np.inf \
         else np.full(len(Ein), "single")
     tps = (tuple(TurningPoint(p, "U+" if u else "U-") for p, u, k in zip(*row) if k)

@@ -42,14 +42,15 @@ class QuantizationError(RuntimeError):
     pass
 
 
-def _bisect(f, a, b, fa=None, fb=None):
+def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
     """Bracketed root refinement of every bracket [a[j], b[j]] in lockstep,
     by false position with the Illinois step (Dowell and Jarratt, BIT 11,
     1971): an end kept twice in a row has its value halved, so both ends
     close in.  A step on or outside an end moves one ulp inside (Brent's
     minimal step), so an end on the root closes its bracket with one more
     evaluation; a step that is not finite takes the midpoint.  A bracket
-    stops at adjacent floats.
+    stops at adjacent floats, or at an end where |f| <= ftol (one value, or
+    one per bracket; 0, an exact root, by default).
 
     ``f(x, rows)`` returns the function of bracket ``rows[j]`` at
     ``x[j]``, so each step is one call for all brackets still open.
@@ -64,10 +65,12 @@ def _bisect(f, a, b, fa=None, fb=None):
     fb = f(b, rows) if fb is None else flat(fb)
     if np.any(fa * fb > 0):
         raise QuantizationError("root bracket lost")
-    root, resid = np.where(fa == 0, a, b), np.zeros(a.size)
+    tol = flat(ftol)
+    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    resid = np.minimum(np.abs(fa), np.abs(fb))
     # The open brackets, compacted; ga and gb are the ends' unhalved values,
     # last says whether the last step moved b (1) or a (0), -1 at first.
-    live = (fa != 0) & (fb != 0)
+    live = (np.abs(fa) > tol) & (np.abs(fb) > tol)
     a, b, fa, fb, rows = a[live], b[live], fa[live], fb[live], rows[live]
     ga, gb, last = fa, fb, np.full(rows.size, -1.0)
 
@@ -94,7 +97,7 @@ def _bisect(f, a, b, fa=None, fb=None):
         fa, fb = np.where(right, h * fa, fm), np.where(right, fm, h * fb)
         ga, gb = np.where(right, ga, fm), np.where(right, fm, gb)
         a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
-        a, b, fa, fb, ga, gb, last, rows = close(fm == 0)
+        a, b, fa, fb, ga, gb, last, rows = close(np.abs(fm) <= tol[rows])
     close(np.ones(rows.size, dtype=bool))
     root, resid = root.reshape(shape), resid.reshape(shape)
     return (float(root), float(resid)) if not shape else (root, resid)
@@ -178,28 +181,35 @@ def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     """Energies from just above the lower well minimum to just below the
     top of the spectrum, with the condition's (psi, alpha) at each.
 
-    The upper well minimum is a grid point: a lower-well level can sit on
-    it, and only the condition's value right there brackets that level.
-    The grid is bisected until the psi step between neighbours is
-    resolved.
+    The grid starts from 4(N+1) even steps, a few per level, and the
+    upper well minimum: a lower-well level can sit on it, and only the
+    condition's value right there brackets that level.  Intervals are
+    split until neither psi nor alpha steps by more than 0.75 between
+    neighbours, so the branches psi -+ alpha step by at most 1.5, and a
+    doublet's alpha swing is sampled as finely as psi.
     """
     scale = params.energy_scale()
     e_lo = info.e_min_lower + max(1e-9 * scale, 1e-11)
     # Stay clear of the very top, where the outer turning points pinch the
     # above-barrier contour; the highest level sits ~pi/2 in phase below.
     e_hi = info.e_max - 1e-8 * scale
-    grid = np.linspace(e_lo, e_hi, 16 * (params.N + 1))
+    grid = np.linspace(e_lo, e_hi, 4 * (params.N + 1))
     if e_lo < info.e_min_upper < e_hi:
         grid = np.sort(np.append(grid, info.e_min_upper))
 
     psi, alpha = _dw_eval(params, grid)
     for _ in range(24):
-        split = (np.abs(np.diff(psi)) > 0.75) & (np.diff(grid) > 1e-12 * scale)
-        if not split.any():
+        # An interval splits into as many equal parts as its larger step
+        # needs to come under 0.75, the fewest points that can do it.
+        step = np.maximum(np.abs(np.diff(psi)), np.abs(np.diff(alpha)))
+        parts = np.where(np.diff(grid) > 1e-12 * scale, np.fmax(np.ceil(step / 0.75), 1.0), 1.0)
+        if (parts == 1).all():
             break
-        # The midpoints are new energies: each lies strictly inside its
-        # interval, which is wider than 1e-12 energy scales.
-        new = 0.5 * (grid[:-1][split] + grid[1:][split])
+        # The new energies lie strictly inside their intervals, each wider
+        # than 1e-12 energy scales.
+        i = np.repeat(np.arange(parts.size), (parts - 1).astype(int))
+        frac = (np.arange(i.size) - np.searchsorted(i, i) + 1) / parts[i]
+        new = grid[i] + frac * (grid[i + 1] - grid[i])
         grid = np.concatenate([grid, new])
         order = np.argsort(grid)
         grid = grid[order]
@@ -241,7 +251,10 @@ def _bracket_roots(ev, grid, vals, scale):
         p, a = ev(E)
         return p - signs[rows] * a - target[rows]
 
-    roots, resid = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep])
+    # The condition cannot come closer to its target than the target's
+    # last bit; past that the steps only walk the roundoff of psi - alpha.
+    roots, resid = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep],
+                           ftol=np.spacing(np.abs(target)))
     return list(zip(roots.tolist(), zip(target.tolist(), signs.tolist()), resid.tolist()))
 
 

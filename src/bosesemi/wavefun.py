@@ -64,11 +64,18 @@ def _phase(params: ModelParams, E, lo, p):
 
 def _decay(params: ModelParams, E, lo, hi, p):
     """Integral of |Im q| from the orbit to each momentum (zero on it), one
-    quadrature row per forbidden or open record segment on the way."""
+    quadrature row per forbidden or open record segment on the way.
+
+    Each segment is cut at the upper minimum's momentum: up to a few ulp
+    above that minimum its double root has not split into turning points
+    yet, and |Im q| has a kink there inside the forbidden segment."""
     orb = act._orbit(params, E)
-    a = np.maximum(orb.a[0], np.minimum(p, hi.p)[:, None])
-    b = np.minimum(orb.b[0], np.maximum(p, lo.p)[:, None])
-    piece = (b > a) & ((orb.kind[0] == act._FORBIDDEN) | (orb.kind[0] == act._OPEN))
+    cut = np.minimum(np.maximum(act._context(params).p_min_upper, orb.a[0]), orb.b[0])
+    ends = np.column_stack([orb.a[0], cut, orb.b[0]])
+    kind = np.repeat(orb.kind[0], 2)
+    a = np.maximum(ends[:, :2].ravel(), np.minimum(p, hi.p)[:, None])
+    b = np.minimum(ends[:, 1:].ravel(), np.maximum(p, lo.p)[:, None])
+    piece = (b > a) & ((kind == act._FORBIDDEN) | (kind == act._OPEN))
     return np.bincount(np.nonzero(piece)[0], turning_point_rows(
         lambda rows, pp: act._imag_angle(params, E, pp), a[piece], b[piece], rtol=1e-11),
         minlength=len(p))

@@ -151,10 +151,12 @@ def test_turning_points_none_at_the_ends_of_the_range(N, g_ns, eps):
     # At the bottom and the top of the classical range the orbit is a
     # point, a double root that roundoff leaves complex, split around an
     # empty sliver or split around a forbidden midpoint.  Every form reads
-    # as no turning point; before, the split ones read as two.
+    # as no turning point and no orbit class; before, the split ones read
+    # as two turning points, and the others as a rotor.
     p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
     for geo in act.turning_points(p, np.array(act.classical_range(p))):
         assert geo.turning_points == ()
+        assert geo.orbit_class is None
         assert geo.diagnostic is None
 
 

@@ -4,6 +4,7 @@ within a fixed memory bound."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,7 +73,7 @@ def test_row_integrand_sees_its_own_rows():
 def test_non_converging_row_raises(monkeypatch):
     # A non-integrable singularity inside the segment never settles; the
     # smooth row beside it does not rescue the call.  A 256-node cap
-    # spares building the 2048- and 4096-node rules.
+    # keeps the test short: rules past 256 nodes add nothing to it.
     monkeypatch.setattr(quad, "_NMAX", 256)
     f = lambda rows, p: np.where(rows[:, None] == 1, np.abs(p - 0.3) ** -1.5, 1.0)
     with pytest.raises(QuadratureError):
@@ -87,6 +88,54 @@ def test_substituted_nodes_are_cached():
     assert np.all((s > 0.0) & (s < 1.0))
     # The substituted weights integrate ds over [0, 1].
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
+
+
+def _legendre_reference(n, x):
+    # P_n and P_(n-1) at x by the three-term recurrence in mpmath.
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
+def _substituted_reference(n, x0):
+    # The Gauss-Legendre node near x0 by Newton's method at 40 digits, and
+    # its weight 2 / ((1 - x^2) P_n'(x)^2), carried through x -> sin^2 t.
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(8):
+            p, p_prev = _legendre_reference(n, x)
+            x -= p * (1 - x * x) / (n * (p_prev - x * p))
+        p, p_prev = _legendre_reference(n, x)
+        w = 2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2
+        t = mpmath.pi / 4 * (x + 1)
+        return float(mpmath.sin(t) ** 2), float(mpmath.pi / 4 * w * mpmath.sin(2 * t))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_rule_matches_mpmath_reference(n):
+    # The two outermost nodes and node n/4, from x = cos theta: both ends
+    # keep full relative accuracy (numpy's leggauss is off by 1.3e-12).
+    s, w = _gl_nodes(n)
+    for i in (0, n // 4, n - 1):
+        s_ref, w_ref = _substituted_reference(n, 4.0 / np.pi * np.arcsin(np.sqrt(s[i])) - 1.0)
+        assert s[i] == pytest.approx(s_ref, rel=1e-13, abs=0.0)
+        assert w[i] == pytest.approx(w_ref, rel=1e-13, abs=0.0)
+    assert np.all(np.diff(s) > 0.0)
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+def test_rule_memory_is_linear_in_nodes():
+    # Newton's method on the recurrence holds a few arrays of n/2 nodes;
+    # a dense eigenproblem for 4096 nodes would hold 134 MB.
+    tracemalloc.start()
+    try:
+        s, w = _gl_nodes.__wrapped__(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_batched_condition_equals_per_energy_calls():

@@ -189,6 +189,19 @@ def test_refiner_endgame_takes_the_minimal_step():
     assert np.nextafter(root, 0.0) in x or np.nextafter(root, 3.0) in x
 
 
+def test_refiner_stops_within_ftol():
+    # Past its roundoff a function's sign is noise, and walking a bracket
+    # down to adjacent floats through it only costs evaluations.  A bracket
+    # closes at an end within ftol; the root and residual are that end's.
+    noisy = lambda e: (e - 0.3) + 3e-14 * np.sin(1e15 * e)
+    x, y = [], []
+    root, resid = _bisect(lambda e, _: x.append(e) or noisy(e), 0.0, 1.0, ftol=1e-13)
+    _bisect(lambda e, _: y.append(e) or noisy(e), 0.0, 1.0)
+    assert resid == abs(noisy(root)) <= 1e-13
+    assert abs(root - 0.3) <= 2e-13
+    assert len(x) < len(y)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
 def test_condition_evaluations_per_spectrum(monkeypatch, eps):
     # Each grid pass and each lockstep refinement step is one call of the
@@ -198,6 +211,19 @@ def test_condition_evaluations_per_spectrum(monkeypatch, eps):
     monkeypatch.setattr(quantize, "_dw_eval", lambda p, E: calls.append(1) or real(p, E))
     assert len(semiclassical_spectrum(TABLE_PARAMS[eps])) == 21
     assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("N,eps", [(20, 0.0), (20, 0.5), (20, 1.0), (20, 1.5), (80, 0.7)])
+def test_phase_grid_row_budget(monkeypatch, N, eps):
+    # The grid starts from 4(N+1) energies and splits only the intervals
+    # where psi or alpha steps by more than 0.75.  Measured 126-137 rows
+    # at N=20 and 492 at N=80; a 16(N+1) start took 337 and 1297.  Any
+    # splitting of that start needs at least 135 rows at eps=1.0.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=-3.0 / (N + 1))
+    real, rows = quantize._dw_eval, []
+    monkeypatch.setattr(quantize, "_dw_eval", lambda q, E: rows.append(np.size(E)) or real(q, E))
+    _phase_grid(p, act._context(p))
+    assert sum(rows) <= 7 * (N + 1) + 1
 
 
 def test_doublet_splittings():

@@ -302,8 +302,8 @@ def test_builders_reject_bad_level_index(build):
 
 
 def test_primitive_state_on_the_upper_minimum():
-    # Level 3 sits a few ulp above the upper well minimum, where the
-    # upper lobe is a roundoff sliver 1e-6 wide.  The decay integral
+    # Level 3 sits within a few ulp of the upper well minimum, where the
+    # upper lobe is a roundoff sliver 1e-6 wide or not yet split off.  The decay integral
     # splits at the sliver instead of integrating across it; before, the
     # level was labelled a double-well pair and had no primitive form.
     # Measured total-variation distance to exact 0.150 (levels 0-2:
@@ -313,3 +313,19 @@ def test_primitive_state_on_the_upper_minimum():
     prim = wf.primitive_wavefunction(p, 3, E)
     ex = momentum_representation(exact_spectrum(p, want_vectors=True), 3)
     assert 0.5 * np.abs(prim.values - ex.values).sum() <= 0.2
+
+
+@pytest.mark.parametrize("eps", [0.5, -0.5])
+def test_primitive_state_within_ulps_of_the_upper_minimum(eps):
+    # From 4 ulp below to 8 ulp above the upper well minimum its double
+    # root is complex, split around an empty sliver or split into real
+    # turning points.  The decay row from the orbit to the rim is cut at
+    # that minimum's momentum, where |Im q| has a kink while the root is
+    # unsplit; before, every energy up to 1 ulp above raised
+    # QuadratureError.  Measured total-variation distance 0.150 at each.
+    p = ModelParams(N=20, eps=eps, v=1.0, g=-3.0 / 21.0)
+    e0 = act.barrier(p).e_min_upper
+    ex = momentum_representation(exact_spectrum(p, want_vectors=True), 3)
+    for k in range(-4, 9):
+        prim = wf.primitive_wavefunction(p, 3, e0 + k * np.spacing(e0))
+        assert 0.5 * np.abs(prim.values - ex.values).sum() <= 0.2
