@@ -22,11 +22,14 @@ more than the metric's ``bound`` (relative, in the direction the metric
 counts as better), and whether a gain is shown (``gain_shown``: head is
 better in at least 9 of 10 pairs, and its median is better than base's
 by more than base's quartile distance); per workload also each side's
-failed operations.
+failed operations and its number of runs flagged not ``correct``.
 
 After the paired runs, each side runs every workload once more with
 ``--trace 1`` at seed 1, and the record keeps those per-layer metrics
 under ``layers: {base, head}``.
+
+Exits with status 1 when head has more runs flagged not ``correct``, or
+more failed operations, than base on any workload.
 """
 
 from __future__ import annotations
@@ -134,13 +137,16 @@ def record(base_dir, bench, seeds):
             metrics[decl["name"]] = {"unit": decl["unit"], "better": decl["better"],
                                      "bound": decl["bound"], **m}
         failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("base", "head")}
+        incorrect = {s: sum(not r["correct"] for r in runs if r["side"] == s)
+                     for s in ("base", "head")}
         layers = {}
         for side, checkout in (("base", base_dir), ("head", ROOT)):
             print(f"{time.strftime('%H:%M:%S')} {w} seed 1 {side} --trace 1",
                   file=sys.stderr, flush=True)
             res = _run(checkout, w, 1, bench["run_seconds"], trace=1)
             layers[side] = {k: m["value"] for k, m in res["metrics"].items()}
-        out[w] = {"runs": runs, "failed": failed, "metrics": metrics, "layers": layers}
+        out[w] = {"runs": runs, "failed": failed, "incorrect": incorrect, "metrics": metrics,
+                  "layers": layers}
     return out
 
 
@@ -174,9 +180,12 @@ def main(argv=None):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    worse = False
     for w, res in results.items():
-        failed = res["failed"]
-        print(f"{w:14s} failed operations  base {failed['base']}  head {failed['head']}")
+        failed, incorrect = res["failed"], res["incorrect"]
+        print(f"{w:14s} failed operations  base {failed['base']}  head {failed['head']}"
+              f"  incorrect runs  base {incorrect['base']}  head {incorrect['head']}")
+        worse |= failed["head"] > failed["base"] or incorrect["head"] > incorrect["base"]
         for name, m in res["metrics"].items():
             print(f"{w:14s} {name:12s} base {m['base_median']:.4g}  head {m['head_median']:.4g}"
                   f"  ratio {m['ratio_median']:.3f} [{m['ratio_q1']:.3f}, {m['ratio_q3']:.3f}]"
@@ -184,7 +193,7 @@ def main(argv=None):
                   f"  worse beyond bound {m['bound']}: {'YES' if m['beyond_bound'] else 'no'}"
                   f"  gain shown: {'yes' if m['gain_shown'] else 'no'}")
     print(f"wrote {os.path.relpath(path)}")
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

@@ -123,9 +123,10 @@ def quantize_single(params: ModelParams, n: int) -> float:
         return act.action(params, E, lobe="total") - target
 
     # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
-    # at the ends are too small to integrate at full precision.
+    # at the ends are too small to integrate at full precision.  A bracket
+    # stops within one ulp of the target, as at the connection condition.
     s_max = 2.0 * np.pi * params.hbar * params.Ns
-    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0]
+    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target, ftol=np.spacing(target))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ the whole linear-algebra core of the exact side.
 
 - Eigenvalues alone: LAPACK through ``np.linalg.eigvalsh`` on the dense
   matrix while it fits in 1 MB (n <= 350); above that, Sturm-count bisection
-  (Barth, Martin and Wilkinson, Numer. Math. 9, 1967; LAPACK's ``dstebz``)
-  in O(n) memory, so the large-N level densities never form the matrix.
+  (LAPACK's ``dstebz``) in O(n) memory, the pivots counted by their IEEE
+  sign bits (Demmel, Dhillon and Ren 1995; Marques, Riedy and Voemel 2006,
+  LAPACK's ``dlaneg``), so the large-N level densities never form the matrix.
 - With eigenvectors: LAPACK through ``np.linalg.eigh`` on the dense
   matrix.  A matrix equal to its own reflection i -> n-1-i (the model at
   eps = 0) is diagonalized on its even and odd blocks, so a doublet that
@@ -51,26 +52,40 @@ def dense_tridiagonal(diag, offdiag):
     return h
 
 
+@np.errstate(divide="ignore", over="ignore")
 def _bisect(d, e):
     """All eigenvalues by bisection on the Sturm count: the number of
-    negative pivots of T - x I equals the number of eigenvalues below x."""
+    negative pivots of T - x I equals the number of eigenvalues below x.
+    The pivots are unguarded and counted by their IEEE sign bits (Demmel,
+    Dhillon and Ren, ETNA 3, 116, 1995; Marques, Riedy and Voemel, SIAM J.
+    Sci. Comput. 28, 1613, 2006): a zero pivot makes the next one infinite,
+    and the pair still counts one negative pivot."""
     e2 = e**2
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
     lo, hi = np.min(d - radius), np.max(d + radius)
-    # A pivot q with |q| < pivmin counts as -pivmin, so e2 / q stays finite.
     pivmin = np.finfo(float).tiny * np.max(e2, initial=1.0)
-    k = np.arange(d.size)
-    a, b = np.full(d.size, lo), np.full(d.size, hi)
+    rows = list(zip(d[1:].tolist(), e2.tolist()))
+    blocks = [rows[s : s + 32] for s in range(0, e.size, 32)]
+    k, a, b = np.arange(d.size), np.full(d.size, lo), np.full(d.size, hi)
+    q, r, signs = np.empty(d.size), np.empty(d.size), np.empty((32, d.size), dtype=bool)
     # Halving the Gershgorin width hi - lo <= 2 |T| 52 times leaves each
     # midpoint within eps |T| of its eigenvalue.
     for _ in range(np.finfo(float).nmant):
         x = 0.5 * (a + b)
-        q = d[0] - x
+        np.subtract(d[0], x, out=q)
         count = np.zeros(d.size, dtype=int)
-        for di, e2i in zip(d[1:], e2):
-            count += q < pivmin
-            q = di - x - e2i / np.where(np.abs(q) < pivmin, -pivmin, q)
-        below = count + (q < pivmin) > k
+        for block in blocks:
+            for sign, (di, e2i) in zip(signs, block):
+                if e2i:
+                    np.signbit(q, out=sign)
+                    np.divide(e2i, q, out=r)
+                    np.subtract(di, x, out=q)
+                    q -= r
+                else:  # no pivot follows from q: it counts if q < pivmin
+                    np.less(q, pivmin, out=sign)
+                    np.subtract(di, x, out=q)
+            count += np.count_nonzero(signs[: len(block)], axis=0)
+        below = count + (q < pivmin) > k  # the last pivot, likewise
         a, b = np.where(below, a, x), np.where(below, x, b)
     return 0.5 * (a + b)
 

@@ -2,7 +2,8 @@
 
 The closed-form Ferrari/Cardano solvers cross-check the companion-matrix
 `quartic_roots`; the finite-difference period dS/dE cross-checks the
-time integral `period_direct`.
+time integral `period_direct`; the guarded Sturm recurrence is what the
+IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -110,3 +111,28 @@ def period_fd(params, E, lobe="auto"):
         return (act.action(params, E + hh, lobe=lobe) - act.action(params, E - hh, lobe=lobe)) / (2.0 * hh)
 
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
+
+
+def sturm_bisect_guarded(d, e):
+    """All eigenvalues of the symmetric tridiagonal matrix (d, e) by Sturm
+    bisection with a guarded pivot recurrence (Barth, Martin and
+    Wilkinson, Numer. Math. 9, 1967; LAPACK's ``dstebz``): a pivot q with
+    |q| < pivmin is replaced by -pivmin, so every quotient stays finite and
+    each pivot q < pivmin counts as negative.  Same brackets and halvings
+    as ``tridiag._bisect``, so the two agree bit for bit."""
+    e2 = e**2
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    lo, hi = np.min(d - radius), np.max(d + radius)
+    pivmin = np.finfo(float).tiny * np.max(e2, initial=1.0)
+    k = np.arange(d.size)
+    a, b = np.full(d.size, lo), np.full(d.size, hi)
+    for _ in range(np.finfo(float).nmant):
+        x = 0.5 * (a + b)
+        q = d[0] - x
+        count = np.zeros(d.size, dtype=int)
+        for di, e2i in zip(d[1:], e2):
+            count += q < pivmin
+            q = di - x - e2i / np.where(np.abs(q) < pivmin, -pivmin, q)
+        below = count + (q < pivmin) > k
+        a, b = np.where(below, a, x), np.where(below, x, b)
+    return 0.5 * (a + b)

@@ -177,6 +177,28 @@ def test_level_refinement_budget(monkeypatch):
     assert len(x) <= 40
 
 
+def test_single_level_stops_within_an_ulp_of_its_action(monkeypatch):
+    # quantize_single closes a bracket at an end where |S - target| is
+    # within spacing(target), as the connection condition does; walking
+    # down to adjacent floats moves no level by more than roundoff (82
+    # action evaluations for these 11 levels, 73 with the stop rule).
+    p = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0)
+    real, calls = act.action, []
+    monkeypatch.setattr(act, "action", lambda *a, **k: calls.append(1) or real(*a, **k))
+    levels = [quantize_single(p, n) for n in range(0, 101, 10)]
+    evals = len(calls)
+    calls.clear()
+    e_min, e_max = act.classical_range(p)
+    s_max = 2.0 * np.pi * p.hbar * p.Ns
+    walked = []
+    for n in range(0, 101, 10):
+        target = 2.0 * np.pi * p.hbar * (n + 0.5)
+        f = lambda E, rows: act.action(p, E, lobe="total") - target
+        walked.append(_bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0])
+    assert evals < len(calls)
+    assert np.max(np.abs(np.subtract(levels, walked))) <= 1e-13 * (e_max - e_min) / p.N
+
+
 def test_refiner_endgame_takes_the_minimal_step():
     # Once one end sits on the root every secant step rounds onto it; a
     # step one ulp inside closes the bracket, where the midpoint fallback

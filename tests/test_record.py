@@ -3,6 +3,7 @@ pair wins, the bound check and the gain rule in the direction each
 metric counts as better, and the traced per-layer runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -118,3 +119,33 @@ def test_record_keeps_one_traced_run_per_side_at_seed_1(monkeypatch):
             "head": {"tridiag.self_s": 0.0001, "tridiag.calls": 7.0}}
         # The traced runs feed no end-to-end metric.
         assert out[w]["metrics"]["ops_per_s"]["base"] == [30.0] * 3
+
+
+@pytest.mark.parametrize("head_correct, head_failed, status",
+                         [(True, 1, 0), (False, 1, 1), (True, 2, 1)])
+def test_record_counts_incorrect_runs_and_main_flags_head_worse(
+        monkeypatch, tmp_path, capsys, head_correct, head_failed, status):
+    record = _load_record()
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        base = checkout != str(tmp_path)
+        # Base is incorrect at seed 2 and fails one operation per run.
+        correct = seed != 2 if base else head_correct or seed == 2
+        return {"correct": correct, "attempted": 50, "failed": 1 if base else head_failed,
+                "metrics": {"ops_per_s": {"value": 10.0}}}
+
+    bench = {"workloads": [{"name": "w"}], "run_seconds": 1,
+             "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
+                             "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(record, "ROOT", str(tmp_path))
+    monkeypatch.setattr(record, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(record, "_export", lambda rev, into: None)
+    monkeypatch.setattr(record.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(record, "_run", run)
+    assert record.main(["--base", "BASE", "--label", "t", "--seeds", "3"]) == status
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # The traced runs at seed 1 count toward neither side.
+    assert doc["workloads"]["w"]["incorrect"] == {"base": 1, "head": 0 if head_correct else 2}
+    assert doc["workloads"]["w"]["failed"] == {"base": 3, "head": 3 * head_failed}
+    assert "incorrect runs  base 1" in capsys.readouterr().out

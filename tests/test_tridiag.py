@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bosesemi import tridiag
 from bosesemi.model import ModelParams
 from bosesemi.quantum import build_hamiltonian
 from bosesemi.tridiag import tridiag_eigh
+from oracles import sturm_bisect_guarded
 
 
 def dense(diag, off):
@@ -16,6 +18,14 @@ def dense(diag, off):
 def _switch_sizes():
     """The last size on the dense route and the first on Sturm bisection."""
     return tridiag._DENSE_MAX_N, tridiag._DENSE_MAX_N + 1
+
+
+def _model(n, eps, g_ns, v):
+    """The n x n Bose-Hubbard matrix at interaction g*Ns = g_ns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # g > 0 or v < 0 is unvalidated
+        ham = build_hamiltonian(ModelParams(N=n - 1, eps=eps, v=v, g=g_ns / n))
+    return ham.diag, ham.offdiag
 
 
 def test_small_known_matrix():
@@ -115,9 +125,10 @@ def test_parity_states_at_reflection_symmetric_matrix():
 
 
 def test_eigenvalues_alone_need_no_dense_matrix():
-    # A dense 1001x1001 matrix takes 8 MB; bisection keeps O(n) arrays,
-    # and the dense route is taken only while its matrix fits the bound.
-    for n in (*_switch_sizes(), 1001):
+    # A dense 1001x1001 matrix takes 8 MB; bisection keeps O(n) arrays and
+    # a 32-row block of sign bits, and the dense route is taken only while
+    # its matrix fits the bound.
+    for n in (*_switch_sizes(), 1001, 1501):
         ham = build_hamiltonian(ModelParams(N=n - 1, eps=1.0, v=1.0, g=-3.0 / n))
         tracemalloc.start()
         try:
@@ -126,3 +137,36 @@ def test_eigenvalues_alone_need_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, n
+
+
+def test_sturm_count_equals_guarded_recurrence_bit_for_bit():
+    # The IEEE sign-bit count and the guarded recurrence count the same
+    # negative pivots, so every halving keeps the same half.  The model at
+    # n = 351 without bias and n = 401 with it, each pair of signs of g*Ns
+    # and v once over the four, and at n = 801; and small integer matrices
+    # whose midpoints land on eigenvalues, so that a pivot is exactly zero,
+    # also right before a zero off-diagonal.
+    cases = [_model(351, 0.0, -3.0, 1.0), _model(351, 0.0, 3.0, -1.0),
+             _model(401, 1.0, -3.0, -1.0), _model(401, 1.0, 3.0, 1.0),
+             _model(801, 1.0, -3.0, 1.0)]
+    cases += [([1.0, 2.0, 3.0], [0.0, 1.0]), ([0.0, 0.0, 0.0], [np.sqrt(2), np.sqrt(2)]),
+              ([0.0, 0.0, 0.0], [1.0, 1.0]), ([1.0, 1.0, 1.0], [0.0, 0.0]),
+              ([0.0, 0.0, 2.0], [0.0, 1.0]), ([-1.0, -1.0, 2.0], [1.0, 0.0])]
+    for d, e in cases:
+        d, e = np.asarray(d), np.asarray(e)
+        assert np.array_equal(tridiag._bisect(d, e), sturm_bisect_guarded(d, e)), d.size
+
+
+def test_reducible_matrices_on_the_sturm_route():
+    # A zero off-diagonal ends the pivot recurrence: at v = 0 (a diagonal
+    # with equal pairs at eps = 0) and in a random matrix with a few zero
+    # off-diagonals.  Dividing there would be 0/0 at a zero pivot, which
+    # pytest turns into an error as a RuntimeWarning.
+    rng = np.random.default_rng(3)
+    split = rng.normal(size=399)
+    split[rng.choice(399, size=5, replace=False)] = 0.0
+    for d, e in (_model(400, 0.0, -3.0, 0.0), (rng.normal(size=400), split)):
+        w, = tridiag_eigh(d, e)
+        h = dense(d, e)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h))) < 1e-13 * np.linalg.norm(h, 2)
+        assert np.array_equal(w, sturm_bisect_guarded(d, e))
