@@ -1,6 +1,6 @@
 """Row-wise quadrature: a row's value does not depend on the rows beside
-it, a row that never converges raises, and a whole sampling grid stays
-within a fixed memory bound."""
+it, a doubling reuses every point, a row that never converges raises,
+and a whole sampling grid stays within a fixed memory bound."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from bosesemi import ModelParams
 from bosesemi import actions as act
 from bosesemi import quad
 from bosesemi import quantize as qz
-from bosesemi.quad import QuadratureError, _gl_nodes, turning_point_rows
+from bosesemi.quad import QuadratureError, _fejer, _rule, turning_point_rows
 
 SUPER21 = ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)
 
@@ -55,7 +55,8 @@ def test_complex_rows_equal_one_row_calls():
 def test_row_integrand_sees_its_own_rows():
     # The integrand gets the indices of the rows still open, so each row
     # integrates its own function; a row leaves once it has converged,
-    # and only row 2, peaked at p = 0, needs more than 128 nodes.
+    # and only row 2, peaked at p = 0, needs more than the 63 points of
+    # the first check.
     scale = np.array([1.0, 2.0, 1.0, 7.0, 5.0])
     seen = []
 
@@ -70,6 +71,22 @@ def test_row_integrand_sees_its_own_rows():
     assert len(seen) > 2 and seen[2:] == [[2]] * (len(seen) - 2)
 
 
+def test_no_point_is_evaluated_twice():
+    # Row 2 above needs several doublings; each adds only the new odd-k
+    # nodes, so its points are distinct and number the last rule's n - 1.
+    calls = []
+
+    def f(rows, p):
+        calls.append(p[0])
+        return 1.0 / (p + 1e-3)
+
+    turning_point_rows(f, [0.0], [1.0])
+    pts = np.concatenate(calls)
+    assert len(calls) > 2
+    assert pts.size == quad._N0 * 2 ** (len(calls) - 1) - 1
+    assert np.unique(pts).size == pts.size
+
+
 def test_non_converging_row_raises(monkeypatch):
     # A non-integrable singularity inside the segment never settles; the
     # smooth row beside it does not rescue the call.  A 256-node cap
@@ -82,55 +99,93 @@ def test_non_converging_row_raises(monkeypatch):
         _one_row(lambda p: np.abs(p - 0.3) ** -1.5, 0.0, 1.0)
 
 
+def test_quadrature_error_names_the_points_reached(monkeypatch):
+    # The last rule tried, 128 intervals, has 127 points.
+    monkeypatch.setattr(quad, "_NMAX", 128)
+    with pytest.raises(QuadratureError, match=r"rtol=1e-12 by 127 points$"):
+        _one_row(lambda p: np.abs(p - 0.3) ** -1.5, 0.0, 1.0)
+
+
+def test_noisy_row_stops_at_its_roundoff_plateau():
+    # Deterministic noise of 1e-10 relative, drawn from the bits of p: every
+    # doubling changes the value by more than rtol, so only the plateau
+    # exit can stop the row, and it returns the rule before the last.
+    def noise(p):
+        return (np.floor(p * 2.0**40).astype(np.int64) * 2654435761) % 1000003 / 500001.5 - 1.0
+
+    seen = []
+
+    def f(rows, p):
+        seen.append(np.sqrt(np.maximum((p - 0.1) * (1.1 - p), 0.0)) * (1.0 + 1e-10 * noise(p)))
+        return seen[-1]
+
+    val = turning_point_rows(f, [0.1], [1.1])[0]
+    assert val == pytest.approx(np.pi / 8, rel=0.0, abs=1e-9)
+    # Each rule's value, rebuilt from the points the row was given.
+    n, y = quad._N0, seen[0][0]
+    rules = [np.sum(_rule(n)[1] * y)]
+    for fresh in seen[1:]:
+        n *= 2
+        y = np.insert(fresh[0], np.arange(1, fresh.shape[1]), y)
+        rules.append(np.sum(_rule(n)[1] * y))
+    assert n < quad._NMAX
+    assert np.all(np.abs(np.diff(rules)) > 1e-12 * np.abs(rules[1:]) + 1e-15)
+    assert val == rules[-2]
+
+
 def test_substituted_nodes_are_cached():
-    s, w = _gl_nodes(64)
-    assert _gl_nodes(64)[0] is s
-    assert np.all((s > 0.0) & (s < 1.0))
-    # The substituted weights integrate ds over [0, 1].
-    assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
+    assert _rule(64)[0] is _rule(64)[0]
+    for n in (32, 64, 256, 4096):
+        s, w = _rule(n)
+        assert s.size == n - 1 and np.all(np.diff(s) > 0.0)
+        assert np.all((s > 0.0) & (s < 1.0))
+        # The substituted weights integrate ds over [0, 1].
+        assert np.sum(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
-def _legendre_reference(n, x):
-    # P_n and P_(n-1) at x by the three-term recurrence in mpmath.
-    p_prev, p = mpmath.mpf(1), x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p, p_prev
+def test_rule_nodes_nest():
+    # Rule n's nodes are rule 2n's even-k nodes, bit for bit.
+    n = quad._N0
+    while n < quad._NMAX:
+        assert np.array_equal(_rule(n)[0], _rule(2 * n)[0][1::2])
+        n *= 2
 
 
-def _substituted_reference(n, x0):
-    # The Gauss-Legendre node near x0 by Newton's method at 40 digits, and
-    # its weight 2 / ((1 - x^2) P_n'(x)^2), carried through x -> sin^2 t.
+def _substituted_reference(n, k):
+    # Node k of rule n and its weight at 40 digits, carried through
+    # x -> sin^2 t with u = (1 + x)/2 = sin^2(phi/2).
     with mpmath.workdps(40):
-        x = mpmath.mpf(x0)
-        for _ in range(8):
-            p, p_prev = _legendre_reference(n, x)
-            x -= p * (1 - x * x) / (n * (p_prev - x * p))
-        p, p_prev = _legendre_reference(n, x)
-        w = 2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2
-        t = mpmath.pi / 4 * (x + 1)
+        phi = k * mpmath.pi / n
+        w = 4 * mpmath.sin(phi) / n * mpmath.fsum(
+            mpmath.sin((2 * j - 1) * phi) / (2 * j - 1) for j in range(1, n // 2 + 1))
+        t = mpmath.pi / 2 * mpmath.sin(phi / 2) ** 2
         return float(mpmath.sin(t) ** 2), float(mpmath.pi / 4 * w * mpmath.sin(2 * t))
 
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_rule_matches_mpmath_reference(n):
-    # The two outermost nodes and node n/4, from x = cos theta: both ends
-    # keep full relative accuracy (numpy's leggauss is off by 1.3e-12).
-    s, w = _gl_nodes(n)
-    for i in (0, n // 4, n - 1):
-        s_ref, w_ref = _substituted_reference(n, 4.0 / np.pi * np.arcsin(np.sqrt(s[i])) - 1.0)
-        assert s[i] == pytest.approx(s_ref, rel=1e-13, abs=0.0)
-        assert w[i] == pytest.approx(w_ref, rel=1e-13, abs=0.0)
-    assert np.all(np.diff(s) > 0.0)
-    assert np.sum(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    # Unsubstituted, the rule integrates x^m over [-1, 1] exactly for
+    # m <= n - 2.
+    phi, w = _fejer(n)
+    x = -np.cos(phi)
+    for m in range(n - 1):
+        exact = mpmath.mpf(2) / (m + 1) if m % 2 == 0 else mpmath.mpf(0)
+        assert np.sum(w * x ** m) == pytest.approx(float(exact), rel=0.0, abs=1e-14)
+    # The two outermost substituted nodes and node n/4: both ends keep
+    # full relative accuracy.
+    s, w = _rule(n)
+    for k in (1, n // 4, n - 1):
+        s_ref, w_ref = _substituted_reference(n, k)
+        assert s[k - 1] == pytest.approx(s_ref, rel=1e-13, abs=0.0)
+        assert w[k - 1] == pytest.approx(w_ref, rel=1e-13, abs=0.0)
 
 
 def test_rule_memory_is_linear_in_nodes():
-    # Newton's method on the recurrence holds a few arrays of n/2 nodes;
-    # a dense eigenproblem for 4096 nodes would hold 134 MB.
+    # The weight sum holds a few arrays of n nodes; a dense n x n
+    # construction of the 4096-interval rule would hold 134 MB.
     tracemalloc.start()
     try:
-        s, w = _gl_nodes.__wrapped__(4096)
+        s, w = _rule.__wrapped__(4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

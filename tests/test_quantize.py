@@ -154,6 +154,20 @@ def test_condition_reads_one_contour_record(monkeypatch):
     assert np.all(np.isfinite(psi)) and np.all(np.isfinite(alpha))
 
 
+def test_integrand_point_budget(monkeypatch):
+    # Every doubling of the nested rule reuses the points it already has,
+    # and the first check costs 63 points: the parent's Gauss-Legendre
+    # doubling (64 then 128 nodes) took 143,104 integrand points for this
+    # spectrum, the nested rule 64,781.
+    points = []
+    real = act.turning_point_rows
+    monkeypatch.setattr(act, "turning_point_rows", lambda f, *a, **k: real(
+        lambda r, p: points.append(p.size) or f(r, p), *a, **k))
+    act._orbit.cache_clear()
+    semiclassical_spectrum(TABLE_PARAMS[0.5])
+    assert sum(points) <= 143_104 // 2
+
+
 def test_level_refinement_budget(monkeypatch):
     # Each row of the batched quartic solver is one energy evaluated: every
     # refinement step, and for a spectrum every grid pass as well (26.9
