@@ -149,8 +149,7 @@ def cmd_sweep(args):
 
 def cmd_density(args):
     params = _params(args)
-    spec = exact_spectrum(params)
-    hist = level_density(spec, args.bins)
+    hist = level_density(params, args.bins)
     centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
     rows = [("histogram", float(c), float(h), "")
             for c, h in zip(centers, hist.heights)]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .tridiag import dense_tridiagonal, tridiag_eigh
+from .tridiag import dense_tridiagonal, eigenvalue_histogram, tridiag_eigh
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,24 @@ def momentum_representation(spec: Spectrum, n: int) -> MomentumWavefunction:
 class LevelDensity:
     bin_edges: np.ndarray
     heights: np.ndarray
-    normalization: float = 1.0
 
 
-def level_density(spec: Spectrum, num_bins: int) -> LevelDensity:
-    """Histogram of the spectrum over [E_min, E_max], normalized so the
-    integral over energy is one."""
+def level_density(params: ModelParams, num_bins: int) -> LevelDensity:
+    """Histogram of the N + 1 exact levels in `num_bins` equal bins over
+    [E_min, E_max], normalized so the integral over energy is one, with
+    the float operations of ``np.histogram(..., density=True)``.
+
+    The levels inside the range are not computed: each bin's count comes
+    from the Sturm counts at its edges (``tridiag.eigenvalue_histogram``).
+    A level within roundoff of an interior edge can so fall in the
+    neighbouring bin.  At g = 0 and eps = 0 the levels are evenly spaced
+    and the edges fall on them; there a bin can hold one level more or
+    less than in a histogram of ``exact_spectrum``.
+    """
     if num_bins < 2:
         raise ValueError("need at least 2 bins")
-    e = spec.energies
-    if e.max() == e.min():
+    ham = build_hamiltonian(params)
+    edges, counts = eigenvalue_histogram(ham.diag, ham.offdiag, num_bins)
+    if edges[0] == edges[-1]:
         raise ValueError("degenerate spectrum range; histogram undefined")
-    heights, edges = np.histogram(e, bins=num_bins, range=(e.min(), e.max()),
-                                  density=True)
-    return LevelDensity(bin_edges=edges, heights=heights, normalization=1.0)
+    return LevelDensity(bin_edges=edges, heights=counts / np.diff(edges) / counts.sum())

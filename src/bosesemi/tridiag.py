@@ -7,7 +7,10 @@ the whole linear-algebra core of the exact side.
   matrix while it fits in 1 MB (n <= 350); above that, Sturm-count bisection
   (LAPACK's ``dstebz``) in O(n) memory, the pivots counted by their IEEE
   sign bits (Demmel, Dhillon and Ren 1995; Marques, Riedy and Voemel 2006,
-  LAPACK's ``dlaneg``), so the large-N level densities never form the matrix.
+  LAPACK's ``dlaneg``).
+- A histogram of the eigenvalues: the same Sturm count at the bin edges,
+  after the two extreme eigenvalues, so the level densities never compute
+  the spectrum.
 - With eigenvectors: LAPACK through ``np.linalg.eigh`` on the dense
   matrix.  A matrix equal to its own reflection i -> n-1-i (the model at
   eps = 0) is diagonalized on its even and odd blocks, so a doublet that
@@ -19,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 _DENSE_MAX_N = 350  # a dense 350 x 350 float64 matrix takes 980 kB
+_TREE_DEPTH = 6  # halvings per Sturm count when bisecting for the extremes
 
 
 def tridiag_eigh(diag, offdiag, want_vectors=False):
@@ -28,12 +32,7 @@ def tridiag_eigh(diag, offdiag, want_vectors=False):
     Returns (w,) or (w, V) with w ascending and V's columns the matching
     eigenvectors, each flipped so its first nonzero component is positive.
     """
-    d = np.array(diag, dtype=float)
-    e = np.array(offdiag, dtype=float)
-    if e.size != d.size - 1:
-        raise ValueError(f"offdiag must have length {d.size - 1}")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("matrix entries must be finite")
+    d, e = _checked(diag, offdiag)
     if not want_vectors:
         dense = d.size <= _DENSE_MAX_N
         return (np.linalg.eigvalsh(dense_tridiagonal(d, e)) if dense else _bisect(d, e),)
@@ -41,6 +40,25 @@ def tridiag_eigh(diag, offdiag, want_vectors=False):
     big = np.abs(V) > 1e-12 * np.max(np.abs(V), axis=0)
     V *= np.where(V[np.argmax(big, axis=0), np.arange(d.size)] < 0, -1.0, 1.0)
     return w, V
+
+
+def eigenvalue_histogram(diag, offdiag, bins):
+    """Histogram of the eigenvalues of the symmetric tridiagonal matrix
+    (`diag`, `offdiag`) over their range in `bins` equal bins, as
+    (edges, counts) of ``np.histogram(w, bins, range=(w[0], w[-1]))``.
+
+    Only the extremes w[0] and w[-1] are computed, bit for bit as Sturm
+    bisection gives them; the counts are differences of Sturm counts at
+    the interior edges, so an eigenvalue within roundoff of an edge can
+    fall in the neighbouring bin.
+    """
+    d, e = _checked(diag, offdiag)
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    count, lo, hi = _sturm(d, e)
+    edges = np.linspace(*_multisect(count, lo, hi, np.array([0, d.size - 1]), _TREE_DEPTH),
+                        bins + 1)
+    return edges, np.diff(np.concatenate(([0], count(edges[1:-1]), [d.size])))
 
 
 def dense_tridiagonal(diag, offdiag):
@@ -52,28 +70,36 @@ def dense_tridiagonal(diag, offdiag):
     return h
 
 
-@np.errstate(divide="ignore", over="ignore")
-def _bisect(d, e):
-    """All eigenvalues by bisection on the Sturm count: the number of
-    negative pivots of T - x I equals the number of eigenvalues below x.
-    The pivots are unguarded and counted by their IEEE sign bits (Demmel,
-    Dhillon and Ren, ETNA 3, 116, 1995; Marques, Riedy and Voemel, SIAM J.
-    Sci. Comput. 28, 1613, 2006): a zero pivot makes the next one infinite,
-    and the pair still counts one negative pivot."""
+def _checked(diag, offdiag):
+    """The matrix as float arrays (d, e), checked for length and finiteness."""
+    d = np.array(diag, dtype=float)
+    e = np.array(offdiag, dtype=float)
+    if e.size != d.size - 1:
+        raise ValueError(f"offdiag must have length {d.size - 1}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("matrix entries must be finite")
+    return d, e
+
+
+def _sturm(d, e):
+    """The Sturm count of T = (d, e) and T's Gershgorin interval: returns
+    (count, lo, hi), where count(x) is the number of negative pivots of
+    T - x I, that is of eigenvalues below x, for every entry of the 1-d
+    array x.  The pivots are unguarded and counted by their IEEE sign bits
+    (Demmel, Dhillon and Ren, ETNA 3, 116, 1995; Marques, Riedy and Voemel,
+    SIAM J. Sci. Comput. 28, 1613, 2006): a zero pivot makes the next one
+    infinite, and the pair still counts one negative pivot."""
     e2 = e**2
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    lo, hi = np.min(d - radius), np.max(d + radius)
     pivmin = np.finfo(float).tiny * np.max(e2, initial=1.0)
     rows = list(zip(d[1:].tolist(), e2.tolist()))
     blocks = [rows[s : s + 32] for s in range(0, e.size, 32)]
-    k, a, b = np.arange(d.size), np.full(d.size, lo), np.full(d.size, hi)
-    q, r, signs = np.empty(d.size), np.empty(d.size), np.empty((32, d.size), dtype=bool)
-    # Halving the Gershgorin width hi - lo <= 2 |T| 52 times leaves each
-    # midpoint within eps |T| of its eigenvalue.
-    for _ in range(np.finfo(float).nmant):
-        x = 0.5 * (a + b)
+
+    @np.errstate(divide="ignore", over="ignore")
+    def count(x):
+        q, r, signs = np.empty(x.size), np.empty(x.size), np.empty((32, x.size), dtype=bool)
         np.subtract(d[0], x, out=q)
-        count = np.zeros(d.size, dtype=int)
+        total = np.zeros(x.size, dtype=int)
         for block in blocks:
             for sign, (di, e2i) in zip(signs, block):
                 if e2i:
@@ -84,10 +110,44 @@ def _bisect(d, e):
                 else:  # no pivot follows from q: it counts if q < pivmin
                     np.less(q, pivmin, out=sign)
                     np.subtract(di, x, out=q)
-            count += np.count_nonzero(signs[: len(block)], axis=0)
-        below = count + (q < pivmin) > k  # the last pivot, likewise
-        a, b = np.where(below, a, x), np.where(below, x, b)
+            total += np.count_nonzero(signs[: len(block)], axis=0)
+        return total + (q < pivmin)  # the last pivot, likewise
+
+    return count, np.min(d - radius), np.max(d + radius)
+
+
+def _multisect(count, lo, hi, k, depth):
+    """The eigenvalues with the indices `k` by bisection on the Sturm count
+    from the bracket [lo, hi].  Each call of `count` takes the next `depth`
+    halvings at once: it counts at the tree of 2**depth - 1 midpoints that
+    they can visit, each formed as bisection forms it, so the result does
+    not depend on `depth`, bit for bit."""
+    cols, a, b = np.arange(k.size), np.full(k.size, lo), np.full(k.size, hi)
+    # Halving the Gershgorin width hi - lo <= 2 |T| 52 times leaves each
+    # midpoint within eps |T| of its eigenvalue.
+    halvings = np.finfo(float).nmant
+    for done in range(0, halvings, depth):
+        tree, left, right = [], a[None], b[None]  # one row per node of a level
+        for _ in range(min(depth, halvings - done)):
+            mid = 0.5 * (left + right)
+            tree.append(mid)
+            # Node j's children are nodes 2j (left, mid) and 2j + 1 (mid, right).
+            left, right = (np.stack(ends, axis=1).reshape(-1, k.size)
+                           for ends in ((left, mid), (mid, right)))
+        below = count(np.concatenate(tree).ravel()).reshape(-1, k.size) > k
+        node, first = np.zeros(k.size, dtype=int), 0
+        for mid in tree:
+            x, lower = mid[node, cols], below[first + node, cols]
+            a, b = np.where(lower, a, x), np.where(lower, x, b)
+            node, first = 2 * node + ~lower, first + len(mid)
     return 0.5 * (a + b)
+
+
+def _bisect(d, e):
+    """All eigenvalues by bisection on the Sturm count, one halving per
+    count."""
+    count, lo, hi = _sturm(d, e)
+    return _multisect(count, lo, hi, np.arange(d.size), 1)
 
 
 def _parity_eigh(d, e):

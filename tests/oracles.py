@@ -113,26 +113,31 @@ def period_fd(params, E, lobe="auto"):
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
 
 
+def sturm_count_guarded(d, e, x):
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e) below each
+    entry of x, by the Sturm count with a guarded pivot recurrence (Barth,
+    Martin and Wilkinson, Numer. Math. 9, 1967; LAPACK's ``dstebz``): a
+    pivot q with |q| < pivmin is replaced by -pivmin, so every quotient
+    stays finite and each pivot q < pivmin counts as negative."""
+    pivmin = np.finfo(float).tiny * np.max(e**2, initial=1.0)
+    q = d[0] - x
+    count = np.zeros(x.size, dtype=int)
+    for di, e2i in zip(d[1:], e**2):
+        count += q < pivmin
+        q = di - x - e2i / np.where(np.abs(q) < pivmin, -pivmin, q)
+    return count + (q < pivmin)
+
+
 def sturm_bisect_guarded(d, e):
-    """All eigenvalues of the symmetric tridiagonal matrix (d, e) by Sturm
-    bisection with a guarded pivot recurrence (Barth, Martin and
-    Wilkinson, Numer. Math. 9, 1967; LAPACK's ``dstebz``): a pivot q with
-    |q| < pivmin is replaced by -pivmin, so every quotient stays finite and
-    each pivot q < pivmin counts as negative.  Same brackets and halvings
-    as ``tridiag._bisect``, so the two agree bit for bit."""
-    e2 = e**2
+    """All eigenvalues of (d, e) by bisection on ``sturm_count_guarded``.
+    Same brackets and halvings as ``tridiag._bisect``, so the two agree bit
+    for bit."""
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
     lo, hi = np.min(d - radius), np.max(d + radius)
-    pivmin = np.finfo(float).tiny * np.max(e2, initial=1.0)
     k = np.arange(d.size)
     a, b = np.full(d.size, lo), np.full(d.size, hi)
     for _ in range(np.finfo(float).nmant):
         x = 0.5 * (a + b)
-        q = d[0] - x
-        count = np.zeros(d.size, dtype=int)
-        for di, e2i in zip(d[1:], e2):
-            count += q < pivmin
-            q = di - x - e2i / np.where(np.abs(q) < pivmin, -pivmin, q)
-        below = count + (q < pivmin) > k
+        below = sturm_count_guarded(d, e, x) > k
         a, b = np.where(below, a, x), np.where(below, x, b)
     return 0.5 * (a + b)

@@ -130,7 +130,6 @@ def test_criterion_06_strict_supercritical_bound():
 def test_criterion_07_level_density():
     t0 = time.monotonic()
     p = ModelParams(N=1500, eps=1.0, v=1.0, g=-3.0 / 1501.0)
-    spec = exact_spectrum(p)
     info = act.barrier(p)
     e_min, e_max = act.classical_range(p)
     norm = 2.0 * np.pi * p.hbar * p.Ns
@@ -146,7 +145,7 @@ def test_criterion_07_level_density():
     gl_x, gl_w = np.polynomial.legendre.leggauss(9)
 
     def check(bins, allow_one_level):
-        hist = level_density(spec, bins)
+        hist = level_density(p, bins)
         centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
         width = hist.bin_edges[1] - hist.bin_edges[0]
         peak = int(np.argmax(hist.heights))

@@ -6,7 +6,8 @@ leave out the exact eigenvector columns, whose last digits depend on
 the BLAS build.  The exact eigenvalues of the N <= 80 spectra come from
 LAPACK too, but they are printed to 6 significant digits, so their
 BLAS-dependent last digits cannot show; the N=400 density takes its
-eigenvalues from Sturm bisection, which does not depend on the build.
+extreme levels and bin counts from Sturm counts, which do not depend on
+the build.
 
 To rewrite the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and record the change.

@@ -180,7 +180,7 @@ def test_ground_state_support_inside_turning_points():
 
 def test_level_density_flat_for_linear_spectrum():
     p = ModelParams(N=400, eps=0.0, v=1.0, g=0.0)
-    hist = level_density(exact_spectrum(p), 20)
+    hist = level_density(p, 20)
     span = hist.bin_edges[-1] - hist.bin_edges[0]
     assert np.max(np.abs(hist.heights * span - 1.0)) < 0.06
     widths = np.diff(hist.bin_edges)
@@ -189,12 +189,18 @@ def test_level_density_flat_for_linear_spectrum():
 
 def test_level_density_errors():
     p = ModelParams(N=6, eps=0.0, v=1.0, g=0.0)
-    spec = exact_spectrum(p)
     with pytest.raises(ValueError):
-        level_density(spec, 1)
+        level_density(p, 1)
     degenerate = ModelParams(N=3, eps=0.0, v=0.0, g=0.0)
     with pytest.raises(ValueError, match="degenerate"):
-        level_density(exact_spectrum(degenerate), 5)
+        level_density(degenerate, 5)
+
+
+def test_level_density_rejects_non_finite_matrix():
+    # eps = 1e308 overflows the diagonal, v = 1e308 the off-diagonal.
+    for p in (ModelParams(N=10, eps=1e308), ModelParams(N=400, v=1e308)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            level_density(p, 10)
 
 
 def test_momentum_grid_labels():

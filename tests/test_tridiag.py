@@ -8,7 +8,7 @@ from bosesemi import tridiag
 from bosesemi.model import ModelParams
 from bosesemi.quantum import build_hamiltonian
 from bosesemi.tridiag import tridiag_eigh
-from oracles import sturm_bisect_guarded
+from oracles import sturm_bisect_guarded, sturm_count_guarded
 
 
 def dense(diag, off):
@@ -26,6 +26,25 @@ def _model(n, eps, g_ns, v):
         warnings.simplefilter("ignore", UserWarning)  # g > 0 or v < 0 is unvalidated
         ham = build_hamiltonian(ModelParams(N=n - 1, eps=eps, v=v, g=g_ns / n))
     return ham.diag, ham.offdiag
+
+
+# Small integer matrices whose bisection midpoints land on eigenvalues, so
+# that a pivot is exactly zero, also right before a zero off-diagonal, and
+# on a diagonal of -0.0, whose pivots at x = 0 are -0.0.
+_ZERO_PIVOT_MATRICES = [
+    ([1.0, 2.0, 3.0], [0.0, 1.0]), ([0.0, 0.0, 0.0], [np.sqrt(2), np.sqrt(2)]),
+    ([0.0, 0.0, 0.0], [1.0, 1.0]), ([1.0, 1.0, 1.0], [0.0, 0.0]),
+    ([0.0, 0.0, 2.0], [0.0, 1.0]), ([-1.0, -1.0, 2.0], [1.0, 0.0]),
+    ([-0.0, -0.0, -0.0], [1.0, 1.0])]
+
+
+def _reducible_matrices():
+    """v = 0 (a diagonal with equal pairs at eps = 0) and a random matrix
+    with a few zero off-diagonals, both at n = 400."""
+    rng = np.random.default_rng(3)
+    split = rng.normal(size=399)
+    split[rng.choice(399, size=5, replace=False)] = 0.0
+    return [_model(400, 0.0, -3.0, 0.0), (rng.normal(size=400), split)]
 
 
 def test_small_known_matrix():
@@ -111,6 +130,8 @@ def test_non_finite_entries_rejected():
             for want_vectors in (False, True):
                 with pytest.raises(ValueError, match="finite"):
                     tridiag_eigh(d, e, want_vectors=want_vectors)
+            with pytest.raises(ValueError, match="finite"):
+                tridiag.eigenvalue_histogram(d, e, 10)
 
 
 def test_parity_states_at_reflection_symmetric_matrix():
@@ -137,36 +158,69 @@ def test_eigenvalues_alone_need_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, n
+    # The histogram route at n = 1501 counts at 126 shifts at a time.
+    tracemalloc.start()
+    try:
+        tridiag.eigenvalue_histogram(ham.diag, ham.offdiag, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sturm_count_equals_guarded_recurrence_bit_for_bit():
     # The IEEE sign-bit count and the guarded recurrence count the same
     # negative pivots, so every halving keeps the same half.  The model at
     # n = 351 without bias and n = 401 with it, each pair of signs of g*Ns
-    # and v once over the four, and at n = 801; and small integer matrices
-    # whose midpoints land on eigenvalues, so that a pivot is exactly zero,
-    # also right before a zero off-diagonal.
+    # and v once over the four, and at n = 801; and the zero-pivot matrices.
     cases = [_model(351, 0.0, -3.0, 1.0), _model(351, 0.0, 3.0, -1.0),
              _model(401, 1.0, -3.0, -1.0), _model(401, 1.0, 3.0, 1.0),
              _model(801, 1.0, -3.0, 1.0)]
-    cases += [([1.0, 2.0, 3.0], [0.0, 1.0]), ([0.0, 0.0, 0.0], [np.sqrt(2), np.sqrt(2)]),
-              ([0.0, 0.0, 0.0], [1.0, 1.0]), ([1.0, 1.0, 1.0], [0.0, 0.0]),
-              ([0.0, 0.0, 2.0], [0.0, 1.0]), ([-1.0, -1.0, 2.0], [1.0, 0.0])]
-    for d, e in cases:
+    for d, e in cases + _ZERO_PIVOT_MATRICES:
         d, e = np.asarray(d), np.asarray(e)
         assert np.array_equal(tridiag._bisect(d, e), sturm_bisect_guarded(d, e)), d.size
 
 
 def test_reducible_matrices_on_the_sturm_route():
-    # A zero off-diagonal ends the pivot recurrence: at v = 0 (a diagonal
-    # with equal pairs at eps = 0) and in a random matrix with a few zero
-    # off-diagonals.  Dividing there would be 0/0 at a zero pivot, which
-    # pytest turns into an error as a RuntimeWarning.
-    rng = np.random.default_rng(3)
-    split = rng.normal(size=399)
-    split[rng.choice(399, size=5, replace=False)] = 0.0
-    for d, e in (_model(400, 0.0, -3.0, 0.0), (rng.normal(size=400), split)):
+    # A zero off-diagonal ends the pivot recurrence.  Dividing there would
+    # be 0/0 at a zero pivot, which pytest turns into an error as a
+    # RuntimeWarning.
+    for d, e in _reducible_matrices():
         w, = tridiag_eigh(d, e)
         h = dense(d, e)
         assert np.max(np.abs(w - np.linalg.eigvalsh(h))) < 1e-13 * np.linalg.norm(h, 2)
         assert np.array_equal(w, sturm_bisect_guarded(d, e))
+
+
+def test_histogram_equals_np_histogram_of_the_spectrum():
+    # The bin counts from Sturm counts at the edges equal np.histogram of
+    # the eigenvalues, edges and all, at g*Ns = -3 with and without bias;
+    # at eps = 0 the deep doublets are pairs of levels within roundoff of
+    # each other.  Above the dense route's last size the extremes are
+    # bisection's levels 0 and n - 1 bit for bit.
+    for n in (351, 401, 1001):
+        for eps in (1.0, 0.0, 0.37):
+            d, e = _model(n, eps, -3.0, 1.0)
+            w, = tridiag_eigh(d, e)
+            edges, counts = tridiag.eigenvalue_histogram(d, e, 60)
+            ref_counts, ref_edges = np.histogram(w, 60, range=(w[0], w[-1]))
+            assert edges[0] == w[0] and edges[-1] == w[-1], (n, eps)
+            assert np.array_equal(edges, ref_edges), (n, eps)
+            assert np.array_equal(counts, ref_counts), (n, eps)
+
+
+def test_histogram_needs_a_bin():
+    with pytest.raises(ValueError, match="bins"):
+        tridiag.eigenvalue_histogram([1.0, 2.0], [1.0], 0)
+
+
+def test_sturm_kernel_counts_equal_guarded_count():
+    # At integer and half-integer shifts, the diagonal entries and the
+    # eigenvalues, many of them making a pivot exactly zero, the sign-bit
+    # count equals the guarded recurrence's count, without a warning.
+    for d, e in _ZERO_PIVOT_MATRICES + _reducible_matrices():
+        d, e = np.asarray(d), np.asarray(e)
+        count, lo, hi = tridiag._sturm(d, e)
+        x = np.concatenate([np.arange(np.floor(lo) - 1.0, hi + 1.5, 0.5), d,
+                            np.linalg.eigvalsh(dense(d, e))])
+        assert np.array_equal(count(x), sturm_count_guarded(d, e, x)), d.size
