@@ -80,14 +80,16 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
         resid[rows[done]] = np.abs(np.where(nearer, ga[done], gb[done]))
         return (x[~done] for x in (a, b, fa, fb, ga, gb, last, rows))
 
+    # A step compacts the open brackets only when one of them closes.
     for _ in range(200):
         with np.errstate(invalid="ignore", over="ignore"):
             mid = b - fb * (b - a) / (fb - fa)
         mid = np.where(np.isfinite(mid), np.clip(mid, np.nextafter(a, b), np.nextafter(b, a)),
                        0.5 * (a + b))
         done = ~((a < mid) & (mid < b))
-        a, b, fa, fb, ga, gb, last, rows = close(done)
-        mid = mid[~done]
+        if done.any():
+            a, b, fa, fb, ga, gb, last, rows = close(done)
+            mid = mid[~done]
         if not rows.size:
             break
         fm = f(mid, rows)
@@ -97,7 +99,9 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
         fa, fb = np.where(right, h * fa, fm), np.where(right, fm, h * fb)
         ga, gb = np.where(right, ga, fm), np.where(right, fm, gb)
         a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
-        a, b, fa, fb, ga, gb, last, rows = close(np.abs(fm) <= tol[rows])
+        done = np.abs(fm) <= tol[rows]
+        if done.any():
+            a, b, fa, fb, ga, gb, last, rows = close(done)
     close(np.ones(rows.size, dtype=bool))
     root, resid = root.reshape(shape), resid.reshape(shape)
     return (float(root), float(resid)) if not shape else (root, resid)

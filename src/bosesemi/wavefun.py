@@ -11,6 +11,8 @@ momenta, and find the orbit at E once per call.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import actions as act
@@ -18,6 +20,13 @@ from .model import ModelParams
 from .quad import turning_point_rows
 from .quantum import MomentumWavefunction, momentum_grid
 from .quantize import _bisect, _level_index, quantize_single
+
+
+@lru_cache(maxsize=1)
+def _level(params: ModelParams, n):
+    """``quantize_single(params, n)``, kept for the last state asked for, so
+    that both forms of a state built without an energy solve it once."""
+    return quantize_single(params, n)
 
 
 def _orbit_interval(params: ModelParams, E):
@@ -121,7 +130,7 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
     allowed grid points, with decaying tails outside, renormalized to
     unit sum on the discrete grid."""
     _level_index(params, n)
-    E = quantize_single(params, n) if E is None else E
+    E = _level(params, n) if E is None else E
     lo, hi = _orbit_interval(params, E)
     grid = momentum_grid(params)
     p = grid * params.hbar
@@ -197,11 +206,12 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     """Turning-point-regular form |w(p) sqrt(2n+1-xi^2)| H_n(xi)^2 e^(-xi^2),
     for orbits whose turning points both lie on the lower potential curve.
 
-    Other turning-point geometries are not supported here; callers fall
-    back to the primitive form with tails.
+    Other turning-point geometries raise ``GeometryError``; the
+    ``wavefunction`` command then leaves its uniform column empty and
+    reports the reason on stderr.
     """
     _level_index(params, n)
-    E = quantize_single(params, n) if E is None else E
+    E = _level(params, n) if E is None else E
     lo, hi = _orbit_interval(params, E)
     if not (lo.branch == "U-" and hi.branch == "U-"):
         raise act.GeometryError(

@@ -238,6 +238,37 @@ def test_refiner_stops_within_ftol():
     assert len(x) < len(y)
 
 
+def test_lockstep_brackets_refine_as_if_alone():
+    # One batch whose brackets close at different steps: by ftol on the
+    # first step (false position is exact on a line), and two at adjacent
+    # floats, one after midpoint steps while f is infinite at an end, one
+    # on x^2 = 2, which has no float root.  Each bracket's (root, resid)
+    # and number of evaluations are those it gets when refined on its own.
+    def pole(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (1.0 - x) - 3.0
+
+    funcs = [lambda x: x - 0.3, pole, lambda x: x * x - 2.0]
+    a, b, tol = np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 2.0]), np.array([1e-15, 0.0, 0.0])
+    fa, fb = [np.array([g(x) for g, x in zip(funcs, ends)]) for ends in (a, b)]
+    assert not np.isfinite(fb[1])
+    evals = np.zeros(3, dtype=int)
+
+    def f(x, rows):
+        np.add.at(evals, rows, 1)
+        return np.array([funcs[j](xj) for j, xj in zip(rows, x)])
+
+    root, resid = _bisect(f, a, b, fa, fb, ftol=tol)
+    batch = evals.copy()
+    for j in range(3):
+        evals[:] = 0
+        alone = _bisect(lambda x, rows: f(x, np.full_like(rows, j)), a[j], b[j], fa[j], fb[j],
+                        ftol=tol[j])
+        assert alone == (root[j], resid[j])
+        assert evals[j] == batch[j]
+    assert batch[0] == 1 and len(set(batch)) == 3  # measured 1, 11 and 9
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
 def test_condition_evaluations_per_spectrum(monkeypatch, eps):
     # Each grid pass and each lockstep refinement step is one call of the

@@ -6,7 +6,7 @@ import pytest
 
 from bosesemi import tridiag
 from bosesemi.model import ModelParams
-from bosesemi.quantum import build_hamiltonian
+from bosesemi.quantum import build_hamiltonian, exact_spectrum
 from bosesemi.tridiag import tridiag_eigh
 from oracles import sturm_bisect_guarded, sturm_count_guarded
 
@@ -179,6 +179,24 @@ def test_sturm_count_equals_guarded_recurrence_bit_for_bit():
     for d, e in cases + _ZERO_PIVOT_MATRICES:
         d, e = np.asarray(d), np.asarray(e)
         assert np.array_equal(tridiag._bisect(d, e), sturm_bisect_guarded(d, e)), d.size
+
+
+def test_full_spectrum_sturm_count_budget(monkeypatch):
+    # Values-only exact_spectrum above the dense route's last size is one
+    # Sturm count per halving, all n levels at once: measured 52 counts of
+    # 1501 shifts each (78,052) at N = 1500.  No benchmark workload times
+    # this path, so its budget is kept here.
+    real, shifts = tridiag._sturm, []
+
+    def counted_sturm(d, e):
+        count, lo, hi = real(d, e)
+        return (lambda x: shifts.append(x.size) or count(x)), lo, hi
+
+    monkeypatch.setattr(tridiag, "_sturm", counted_sturm)
+    w = exact_spectrum(ModelParams(N=1500, eps=1.0, v=1.0, g=-3.0 / 1501)).energies
+    assert w.size == 1501
+    assert len(shifts) <= 56
+    assert sum(shifts) <= 56 * 1501
 
 
 def test_reducible_matrices_on_the_sturm_route():

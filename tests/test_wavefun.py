@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -187,6 +191,62 @@ def test_one_orbit_lookup_per_state(monkeypatch):
         calls.clear()
         build(params, n, E)
         assert len(calls) == 1
+
+
+def test_both_forms_share_one_level_solve(monkeypatch):
+    # Built without an energy, the two forms of a state share one solve of
+    # its level, and each carries that level bit for bit; another state
+    # or other parameters solve again.
+    calls = []
+    monkeypatch.setattr(wf, "quantize_single", lambda *a: calls.append(a) or quantize_single(*a))
+    wf._level.cache_clear()
+    prim, uni = wf.primitive_wavefunction(BIASED14, 0), wf.uniform_wavefunction(BIASED14, 0)
+    assert calls == [(BIASED14, 0)]
+    assert prim.energy == uni.energy == quantize_single(BIASED14, 0)
+    wf.uniform_wavefunction(BIASED14, 1)
+    wf.uniform_wavefunction(SYM14, 1)
+    assert calls == [(BIASED14, 0), (BIASED14, 1), (SYM14, 1)]
+
+
+def test_level_cache_is_safe_across_threads():
+    # Three threads on different states share the one-entry level cache
+    # for 0.3 s; each must get its own level, whether its lookup hits or
+    # not.  A thread hands on the interpreter lock after each pair of
+    # lookups, and switching every microsecond interleaves the solves, so
+    # the states alternate in the cache (measured 45-53 misses and 285-613
+    # hits).  A memo that stores its key before its level failed here on
+    # each of 3 runs.
+    states = [(BIASED14, 0), (SYM14, 2), (BIASED14, 1)]
+    serial = [quantize_single(p, n) for p, n in states]
+    results, errors, start = [[], [], []], [], threading.Barrier(3)
+
+    def run(i):
+        try:
+            start.wait(timeout=60)
+            deadline = time.perf_counter() + 0.3
+            while time.perf_counter() < deadline:
+                results[i] += [wf._level(*states[i]), wf._level(*states[i])]
+                time.sleep(0)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    wf._level.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for got, want in zip(results, serial):
+        assert got and got == [want] * len(got)
+    info = wf._level.cache_info()
+    assert info.misses > len(states) and info.hits > 0
 
 
 def test_uniform_matches_exact_ground_state():
