@@ -15,8 +15,6 @@ from .actions import (
     action,
     barrier,
     classical_range,
-    lobe_phases,
-    orbit_angle,
     period_direct,
     phase_correction,
     tunneling,

@@ -43,30 +43,16 @@ class SeparatrixError(ValueError):
 
 
 def _cos2q(params: ModelParams, E, p):
-    """X = cos(2q) along the energy contour, complex-safe."""
+    """X = cos(2q) along the energy contour, complex-safe.  Flipping the
+    sign of one mode maps v to -v and leaves every contour as it is, so
+    this reads |v|: the one place the contours depend on v's sign."""
     u = np.asarray(p) / params.hbar
     ns = params.Ns
     root = np.sqrt((ns**2 - u**2).astype(complex)) if np.iscomplexobj(u) else \
         np.sqrt(np.maximum(ns**2 - u**2, 0.0))
     num = E - params.eps * u - 0.5 * params.g * (ns**2 + u**2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return num / (params.v * root)
-
-
-def orbit_angle(params: ModelParams, E, p):
-    """Angle q(p, E) solving H(p, q) = E, with q in [0, pi/2] on allowed
-    momenta and the decaying complex continuation (Im q >= 0) on
-    forbidden ones."""
-    u = np.asarray(p, dtype=complex) / params.hbar
-    if np.any(np.abs(u.real) >= params.Ns) and not np.iscomplexobj(np.asarray(p)):
-        raise ValueError("momentum on or outside the phase-space rim")
-    x = _cos2q(params, E, np.asarray(p, dtype=complex))
-    q = 0.5 * np.arccos(x)
-    q = np.where(q.imag < 0, np.conj(q), q)
-    if q.ndim == 0:
-        q = complex(q)
-        return q.real if q.imag == 0 else q
-    return q
+        return num / (abs(params.v) * root)
 
 
 def _angle_allowed(params, E, p):
@@ -499,24 +485,3 @@ def _tunneling(params: ModelParams, info: BarrierInfo, Er, orb: _Contour):
     with np.errstate(over="ignore"):
         kappa = np.where(-np.pi * s_eps < 700, np.exp(-np.pi * s_eps), np.inf)
     return s_eps, kappa
-
-
-# ---------------------------------------------------------------------------
-# dimensionless lobe phases for the quantization condition
-
-
-def lobe_phases(params: ModelParams, E):
-    """Half-action phases (area / 2 hbar) of the left and right regions,
-    floats for a scalar E and arrays for an array of energies.
-
-    Below the barrier these are the areas of the two disconnected orbit
-    components; above it the single component is split at the barrier
-    momentum.  Either way their sum is the total sublevel area / 2 hbar.
-    """
-    info = barrier(params)
-    Er, shaped = _rows(E)
-    orb = _orbit(params, Er)
-    if _upper_empty(info, Er, orb).any():
-        raise GeometryError("upper lobe empty: expected two orbit components below the barrier")
-    area = _half_areas(params, Er, orb, info.p_barr) / (2.0 * params.hbar)
-    return shaped(area[:, 0]), shaped(area[:, 1])

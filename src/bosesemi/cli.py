@@ -24,7 +24,7 @@ from . import actions as act
 from . import meanfield as mf
 from . import wavefun as wf
 from .model import ModelParams
-from .quantize import quantize_single, semiclassical_spectrum, sweep_epsilon
+from .quantize import semiclassical_spectrum, sweep_epsilon
 from .quantum import exact_spectrum, level_density, momentum_grid, momentum_representation
 
 
@@ -177,16 +177,13 @@ def cmd_wavefunction(args):
     if args.method in ("exact", "both"):
         exact = momentum_representation(exact_spectrum(params, want_vectors=True), n)
     if args.method in ("semiclassical", "both"):
-        # Both forms share one level; if quantizing fails, e_n stays None
-        # and the uniform form reports the same failure itself.
-        e_n = None
+        # Both forms share one level solve; a failing solve is reported by each.
         try:
-            e_n = quantize_single(params, n)
-            prim = wf.primitive_wavefunction(params, n, e_n)
+            prim = wf.primitive_wavefunction(params, n)
         except act.GeometryError as exc:
             print(f"primitive form unavailable: {exc}", file=sys.stderr)
         try:
-            uni = wf.uniform_wavefunction(params, n, e_n)
+            uni = wf.uniform_wavefunction(params, n)
         except act.GeometryError as exc:
             print(f"uniform form unavailable: {exc}", file=sys.stderr)
     um, up = mf.momentum_potentials(params, grid * params.hbar)

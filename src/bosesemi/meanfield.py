@@ -59,10 +59,10 @@ def momentum_potentials(params: ModelParams, p):
 
 def regime(params: ModelParams) -> str:
     """Classify the interaction strength relative to the self-trapping
-    threshold g = -v/Ns."""
-    if params.v <= 0:
-        raise ValueError("regime classification assumes v > 0")
-    thr = params.v / params.Ns
+    threshold g = -|v|/Ns; the sign of v does not matter."""
+    if params.v == 0:
+        raise ValueError("regime classification needs v != 0")
+    thr = abs(params.v) / params.Ns
     if params.g >= 0:
         return "subcritical"
     if abs(abs(params.g) - thr) <= 1e-12 * thr:

@@ -6,6 +6,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -13,7 +15,8 @@ class ModelParams:
 
     N     -- particle count (integer >= 1)
     eps   -- onsite energy bias between the two modes
-    v     -- mode coupling constant
+    v     -- mode coupling constant; its sign does not change the
+             spectrum, and the semiclassical side reads |v|
     g     -- onsite interaction strength
     hbar  -- Planck constant (sets the momentum/action scale, default 1)
 
@@ -36,12 +39,9 @@ class ModelParams:
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar!r}")
         object.__setattr__(self, "N", int(self.N))
-        if self.v < 0 or self.g > 0:
+        if self.g > 0:
             # Accepted, but outside the regime the solver is validated for.
-            warnings.warn(
-                "parameters outside the validated regime (v > 0, g <= 0)",
-                stacklevel=3,
-            )
+            warnings.warn("parameters outside the validated regime (g <= 0)", stacklevel=3)
 
     @property
     def Ns(self) -> int:
@@ -55,3 +55,9 @@ class ModelParams:
     def energy_scale(self) -> float:
         """Natural magnitude of classical energies, used for tolerances."""
         return abs(self.v) * self.Ns + abs(self.g) * self.Ns**2 + abs(self.eps) * self.Ns + 1e-30
+
+
+def _level_index(params: ModelParams, n):
+    """Raises ``ValueError`` unless n is an integer level index in 0..N (not a bool)."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n <= params.N):
+        raise ValueError(f"level index {n!r} is not an integer in 0..{params.N}")

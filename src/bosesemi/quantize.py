@@ -33,7 +33,7 @@ import numpy as np
 
 from . import actions as act
 from .meanfield import fixed_points
-from .model import ModelParams
+from .model import ModelParams, _level_index
 from .quad import QuadratureError
 from .quantum import exact_spectrum
 
@@ -109,12 +109,6 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
 
 # ---------------------------------------------------------------------------
 # single-region quantization
-
-
-def _level_index(params: ModelParams, n):
-    """Raises ``ValueError`` unless n is an integer level index in 0..N."""
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= params.N):
-        raise ValueError(f"level index {n!r} is not an integer in 0..{params.N}")
 
 
 def quantize_single(params: ModelParams, n: int) -> float:
@@ -271,10 +265,6 @@ def quantize_double(params: ModelParams):
     energy, region and orbit class as ``turning_points`` assigns them;
     ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
     """
-    # Flipping the sign of one mode maps v to -v and leaves the spectrum
-    # as it is; the contour bookkeeping assumes v > 0.
-    if params.v < 0:
-        params = replace(params, v=-params.v)
     info = act._context(params)
     scale = params.energy_scale()
     grid, vals = _phase_grid(params, info)
@@ -356,8 +346,7 @@ def sweep_epsilon(params: ModelParams, eps_values) -> list:
     eps_values = np.atleast_1d(np.asarray(eps_values, dtype=float))
     out = []
     for e in eps_values:
-        p = ModelParams(N=params.N, eps=float(e), v=params.v, g=params.g,
-                        hbar=params.hbar)
+        p = replace(params, eps=float(e))
         fps = fixed_points(p)
         stationary = tuple((f.label, f.energy) for f in fps)
         try:

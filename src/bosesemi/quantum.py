@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _level_index
 from .tridiag import dense_tridiagonal, eigenvalue_histogram, tridiag_eigh
 
 
@@ -93,8 +93,7 @@ def momentum_representation(spec: Spectrum, n: int) -> MomentumWavefunction:
     """
     if spec.eigenvectors is None:
         raise ValueError("spectrum was computed without eigenvectors")
-    if not 0 <= n <= spec.params.N:
-        raise ValueError(f"state index {n} outside 0..{spec.params.N}")
+    _level_index(spec.params, n)
     vals = spec.eigenvectors[:, n] ** 2
     vals[vals < np.finfo(float).eps ** 2] = 0.0
     return MomentumWavefunction(

@@ -16,10 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import actions as act
-from .model import ModelParams
+from .model import ModelParams, _level_index
 from .quad import turning_point_rows
 from .quantum import MomentumWavefunction, momentum_grid
-from .quantize import _bisect, _level_index, quantize_single
+from .quantize import _bisect, quantize_single
 
 
 @lru_cache(maxsize=1)

@@ -49,35 +49,20 @@ def width_oracle(params, E, n=300000):
 def test_orbit_angle_at_turning_points():
     E = -60.0
     for tp in act.turning_points(SUPER21, E).turning_points:
-        q = act.orbit_angle(SUPER21, E, tp.p)
+        q = act._angle_allowed(SUPER21, E, tp.p)
         expected = 0.5 * np.pi if tp.branch == "U-" else 0.0
-        assert complex(q).real == pytest.approx(expected, abs=2e-6)
-        assert abs(complex(q).imag) < 2e-6
+        assert q == pytest.approx(expected, abs=2e-6)
+        assert act._imag_angle(SUPER21, E, tp.p) < 2e-6
 
 
 def test_orbit_angle_forbidden_is_arccosh():
     E = -60.0
     p = 0.0  # middle of the barrier gap
-    q = act.orbit_angle(SUPER21, E, p)
     x = (E - 0.5 * SUPER21.g * SUPER21.Ns**2) / (SUPER21.v * SUPER21.Ns)
     # independent arccosh via the log identity
     ref = np.log(-x + np.sqrt(x * x - 1.0))
-    assert q.imag == pytest.approx(0.5 * ref, rel=1e-12)
-    assert q.real == pytest.approx(0.5 * np.pi, rel=1e-12)
-    assert q.imag >= 0
-
-
-def test_orbit_angle_rim_error():
-    with pytest.raises(ValueError, match="rim"):
-        act.orbit_angle(SUPER21, -40.0, SUPER21.p_max)
-
-
-def test_orbit_angle_open_region():
-    # Above the upper potential the angle continuation has zero real part.
-    p = ModelParams(N=10, eps=1.0, v=1.0, g=-3.0 / 11.0)
-    e_top = act.classical_range(p)[1]
-    q = act.orbit_angle(p, e_top - 0.3, 9.0)
-    assert abs(complex(q).real) < 1e-10 or complex(q).imag == 0
+    assert act._imag_angle(SUPER21, E, p) == pytest.approx(0.5 * ref, rel=1e-12)
+    assert act._angle_allowed(SUPER21, E, p) == pytest.approx(0.5 * np.pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +225,16 @@ def test_action_monotone_on_benchmark_sets():
 
 
 def test_lobe_phases_sum_to_total():
+    # The quantizer's cut at the barrier momentum, below and above the
+    # barrier; below it the two halves are the lobes ``action`` picks.
     info = act.barrier(SUPER21)
-    for E in (-60.0, -45.0, -30.0, info.e_barr + 1e-6 * SUPER21.energy_scale()):
-        left, right = act.lobe_phases(SUPER21, E)
-        total = act.action(SUPER21, E, "total") / (2.0 * SUPER21.hbar)
-        assert left + right == pytest.approx(total, rel=1e-9)
-        assert left == pytest.approx(right, rel=1e-9)  # symmetric wells
+    es = np.array([-60.0, -45.0, -30.0, info.e_barr + 1e-6 * SUPER21.energy_scale()])
+    halves = act._half_areas(SUPER21, es, act._orbit(SUPER21, es), info.p_barr)
+    assert halves.sum(axis=1) == pytest.approx(act.action(SUPER21, es, "total"), rel=1e-9)
+    assert halves[:, 0] == pytest.approx(halves[:, 1], rel=1e-9)  # symmetric wells
+    left, right = (act.action(SUPER21, -60.0, lobe) for lobe in ("left", "right"))
+    assert left + right == pytest.approx(act.action(SUPER21, -60.0, "total"), rel=1e-9)
+    assert left == pytest.approx(right, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +280,10 @@ def test_barrier_cut_is_the_component_split(N, g_ns, eps):
     es = np.linspace(info.e_min_upper, info.e_barr, 202)[1:-1]
     es = es[act._ncomp(act._orbit(params, es)) == 2]
     assert es.size >= 190
-    left, right = act.lobe_phases(params, es)
+    halves = act._half_areas(params, es, act._orbit(params, es), info.p_barr)
     oracle = _component_areas(params, es)
-    assert np.array_equal(left, oracle[0] / (2.0 * params.hbar))
-    assert np.array_equal(right, oracle[1] / (2.0 * params.hbar))
+    assert np.array_equal(halves[:, 0], oracle[0])
+    assert np.array_equal(halves[:, 1], oracle[1])
     for lobe, area in zip(("left", "right"), oracle):
         assert np.array_equal(act.action(params, es, lobe=lobe), area)
 
@@ -352,9 +341,9 @@ def test_one_quartic_solve_per_energy(monkeypatch):
     other = ModelParams(N=20, eps=0.2, v=1.0, g=-1.0 / 7.0)
     act._orbit.cache_clear()
     rows.clear()
-    both = [act.lobe_phases(params, -55.0) for params in (SUPER21, other)]
+    both = [act.action(params, -55.0, lobe="left") for params in (SUPER21, other)]
     assert sum(rows) == 2
-    assert both == [solves(act.lobe_phases, params, -55.0)[1] for params in (SUPER21, other)]
+    assert both == [solves(act.action, params, -55.0, "left")[1] for params in (SUPER21, other)]
     assert act.action(sym, np.array(E)) == act.action(sym, E)
 
 

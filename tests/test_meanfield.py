@@ -129,10 +129,13 @@ def test_fixed_points_biased_supercritical():
 
 def test_regime_classification():
     N = 10
-    assert mf.regime(ModelParams(N=N, eps=0.0, v=1.0, g=-0.5 / 11.0)) == "subcritical"
-    assert mf.regime(ModelParams(N=N, eps=0.0, v=1.0, g=-3.0 / 11.0)) == "supercritical"
-    assert mf.regime(ModelParams(N=N, eps=0.0, v=1.0, g=-1.0 / 11.0)) == "critical"
-    assert mf.regime(ModelParams(N=N, eps=0.0, v=1.0, g=0.0)) == "subcritical"
+    for v in (1.0, -1.0):  # the threshold is |v|/Ns
+        assert mf.regime(ModelParams(N=N, eps=0.0, v=v, g=-0.5 / 11.0)) == "subcritical"
+        assert mf.regime(ModelParams(N=N, eps=0.0, v=v, g=-3.0 / 11.0)) == "supercritical"
+        assert mf.regime(ModelParams(N=N, eps=0.0, v=v, g=-1.0 / 11.0)) == "critical"
+        assert mf.regime(ModelParams(N=N, eps=0.0, v=v, g=0.0)) == "subcritical"
+    with pytest.raises(ValueError, match="v != 0"):
+        mf.regime(ModelParams(N=N, eps=0.0, v=0.0, g=-3.0 / 11.0))
 
 
 def test_bifurcation_count_transition():

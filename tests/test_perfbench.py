@@ -61,7 +61,7 @@ def test_tracer_counts_quartic_solves_behind_the_orbit_memo(monkeypatch):
     tracer.install()
     try:
         _, err, _ = tracer.run_op("lobe-and-tunnel", lambda: (
-            bosesemi.lobe_phases(params, -60.0), bosesemi.tunneling(params, -60.0)))
+            bosesemi.action(params, -60.0, lobe="left"), bosesemi.tunneling(params, -60.0)))
     finally:
         tracer.uninstall()
     assert err is None

@@ -385,7 +385,8 @@ def _rhs_kappa_condition(params, E):
     """(psi, alpha) of the rejected variant that multiplies the right-hand
     cosine by the tunneling factor:
     sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -kappa cos(Sl - Sr)."""
-    left, right = act.lobe_phases(params, E)
+    halves = act._half_areas(params, np.array([E]), act._orbit(params, E), act.barrier(params).p_barr)
+    left, right = halves[0] / (2.0 * params.hbar)
     s_eps, kappa = act.tunneling(params, E)
     psi = left + right + act.phase_correction(s_eps)
     if kappa > 1e150:

@@ -156,6 +156,13 @@ def test_momentum_representation_zeroes_roundoff_floor():
     assert np.array_equal(w.values[kept], raw[kept] / raw.sum())
 
 
+def test_momentum_representation_rejects_bad_level_index():
+    spec = exact_spectrum(ModelParams(N=4, eps=0.0, v=1.0, g=0.0), want_vectors=True)
+    for n in (-1, 5, 1.5, True):
+        with pytest.raises(ValueError, match="level index"):
+            momentum_representation(spec, n)
+
+
 def test_momentum_representation_requires_vectors():
     p = ModelParams(N=4, eps=0.0, v=1.0, g=0.0)
     spec = exact_spectrum(p)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -389,3 +390,32 @@ def test_primitive_state_within_ulps_of_the_upper_minimum(eps):
     for k in range(-4, 9):
         prim = wf.primitive_wavefunction(p, 3, e0 + k * np.spacing(e0))
         assert 0.5 * np.abs(prim.values - ex.values).sum() <= 0.2
+
+
+def _built(build, params, n):
+    """(values, energy) of a builder's form of state n, or its GeometryError text."""
+    try:
+        wave = build(params, n)
+    except act.GeometryError as exc:
+        return str(exc)
+    return wave.values.tolist(), wave.energy
+
+
+@pytest.mark.parametrize("N,g_ns,eps,states", [
+    (14, -0.6, 0.6, (0,)), (14, -0.9, 0.0, (2,)), (100, -0.6, 0.6, (0, 1, 2, 3, 4)),
+    (20, -3.0, 0.0, (0, 2)), (20, -3.0, 0.5, (0, 2)),
+])
+def test_coupling_sign_changes_nothing(N, g_ns, eps, states):
+    # Flipping one mode's sign maps v to -v: every semiclassical result at
+    # v = -1 is the one at v = +1, bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos, neg = (ModelParams(N=N, eps=eps, v=v, g=g_ns / (N + 1)) for v in (1.0, -1.0))
+    spec_pos, spec_neg = semiclassical_spectrum(pos), semiclassical_spectrum(neg)
+    assert np.array_equal(spec_pos.energies, spec_neg.energies)
+    assert spec_pos.levels == spec_neg.levels
+    for n in (0, 2):
+        assert quantize_single(pos, n) == quantize_single(neg, n)
+    for n in states:
+        for build in (wf.primitive_wavefunction, wf.uniform_wavefunction):
+            assert _built(build, pos, n) == _built(build, neg, n)
