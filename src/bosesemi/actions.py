@@ -124,13 +124,16 @@ def classical_range(params: ModelParams):
     return info.e_min_lower, info.e_max
 
 
-def _rows(E):
-    """E as a 1-D float array, and the function that lays per-row results
-    out like E: a float for a scalar E."""
-    E = np.asarray(E, dtype=float)
-    if E.ndim == 0:
-        return E.reshape(1), lambda x: float(x[0])
-    return E, lambda x: x
+def _rows(x):
+    """x flattened to a 1-D float array, and the function that lays
+    per-row results out like x: a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+
+    def shaped(val):
+        val = np.reshape(val, x.shape)
+        return float(val) if val.ndim == 0 else val
+
+    return x.reshape(-1), shaped
 
 
 # Segment kinds: forbidden, allowed (E between the momentum potentials)
@@ -142,12 +145,12 @@ _EMPTY, _FORBIDDEN, _ALLOWED, _OPEN = -1, 0, 1, 2
 class _Contour(NamedTuple):
     """The energy contours of a batch, one row per energy: the turning
     quartic's leading nonzero coefficient ``lead`` and its ``roots`` in
-    s = p/(hbar*Ns), NaN after the last; the real roots with |s| <= 1 as
-    turning momenta ``tp`` sorted in p, NaN after the last, with ``upper``
-    flagging the U+ branch; and [-p_max, p_max] cut at them into 5
-    segments [a, b] of a ``kind``, the missing ones of zero width at
-    p_max, with a component id ``comp`` that counts the forbidden
-    segments up to each."""
+    s = p/(hbar*Ns), NaN after the last, the real ones polished on the
+    unsquared condition; the real roots with |s| <= 1 as turning momenta
+    ``tp`` sorted in p, NaN after the last, with ``upper`` flagging the
+    U+ branch; and [-p_max, p_max] cut at them into 5 segments [a, b] of
+    a ``kind``, the missing ones of zero width at p_max, with a component
+    id ``comp`` that counts the forbidden segments up to each."""
     lead: np.ndarray
     roots: np.ndarray
     tp: np.ndarray
@@ -184,10 +187,21 @@ def _solve_orbits(params: ModelParams, energies: bytes) -> _Contour:
     # The solver drops a row's negligible leading coefficients, one NaN
     # root each, so the NaN count indexes the coefficient it kept.
     lead = coeffs[np.arange(len(E)), np.isnan(roots).sum(axis=1)]
-    # The real roots inside the rim, sorted, NaN last; the sign of the
-    # unsquared bracket picks each one's branch.
+    # The real roots inside the rim.
     real = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))) & \
         (np.abs(roots.real) <= 1.0 + 1e-10)
+    # Squaring loses digits where the quartic nearly has a double root, as
+    # for an orbit pressed against the rim by a strong bias, so each real
+    # root takes a Newton step on the unsquared A - eps s - (G/2) s^2 =
+    # +-|v| sqrt(1 - s^2); a step above 1e-6 has left the root's basin.
+    s0 = np.where(real, roots.real, np.nan)
+    bra = A[:, None] - eps * s0 - 0.5 * G * s0 * s0
+    sv = np.where(bra > 0, 1.0, -1.0) * abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(1.0 - s0 * s0)
+        step = (bra - sv * root) / (-eps - G * s0 + sv * s0 / root)
+    roots = np.where(real & (np.abs(step) < 1e-6), s0 - step, roots)
+    # Sorted, NaN last; the sign of the unsquared bracket picks each one's branch.
     s = np.sort(np.where(real, np.minimum(np.maximum(roots.real, -1.0), 1.0), np.nan), axis=1)
     upper = A[:, None] - eps * s - 0.5 * G * s * s > 0
     tp = s * ns * hbar
@@ -227,20 +241,15 @@ def _speed_bracket(params: ModelParams, E):
     """
     orb = _orbit(params, E)
     ns2 = params.Ns ** 2
-    # A missing root is a factor of one; a column that no row fills is
-    # skipped, and only one that some rows fill needs the mask.
-    nan = np.isnan(orb.roots)
-    cols = [(j, some) for j, (some, every) in
-            enumerate(zip(nan.any(axis=0).tolist(), nan.all(axis=0).tolist())) if not every]
 
     def bracket(p, rows=0):
         rows = np.asarray(rows)[..., None] if np.ndim(rows) else rows
         s = np.asarray(p) / (params.hbar * params.Ns)
         q = np.empty(np.shape(s), dtype=complex)
         q[...] = orb.lead[rows]
-        for j, some in cols:
-            f = s - orb.roots[rows, j]
-            q = q * (np.where(nan[rows, j], 1.0, f) if some else f)
+        # A missing (NaN) root is a factor of one.
+        for root in orb.roots.T:
+            q = q * np.where(np.isnan(root[rows]), 1.0, s - root[rows])
         return -ns2 * q.real
 
     return bracket

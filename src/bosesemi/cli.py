@@ -24,6 +24,7 @@ from . import actions as act
 from . import meanfield as mf
 from . import wavefun as wf
 from .model import ModelParams
+from .quad import QuadratureError
 from .quantize import semiclassical_spectrum, sweep_epsilon
 from .quantum import exact_spectrum, level_density, momentum_grid, momentum_representation
 
@@ -80,18 +81,16 @@ def _emit(args, header, rows, config):
         sys.stdout.write(text)
 
 
-def _config_dict(args, params, extra=None):
-    cfg = {
+def _config_dict(args, params, extra):
+    return {
         "command": args.command,
         "particles": params.N,
         "epsilon": params.eps,
         "v": params.v,
         "g": params.g,
         "hbar": params.hbar,
+        **extra,
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def cmd_spectrum(args):
@@ -180,11 +179,11 @@ def cmd_wavefunction(args):
         # Both forms share one level solve; a failing solve is reported by each.
         try:
             prim = wf.primitive_wavefunction(params, n)
-        except act.GeometryError as exc:
+        except (act.GeometryError, QuadratureError) as exc:
             print(f"primitive form unavailable: {exc}", file=sys.stderr)
         try:
             uni = wf.uniform_wavefunction(params, n)
-        except act.GeometryError as exc:
+        except (act.GeometryError, QuadratureError) as exc:
             print(f"uniform form unavailable: {exc}", file=sys.stderr)
     um, up = mf.momentum_potentials(params, grid * params.hbar)
     rows = []

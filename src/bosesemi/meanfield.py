@@ -80,19 +80,9 @@ class FixedPoint:
     degenerate: bool = False
 
 
-def _hessian(params, q, p):
-    u = p / params.hbar
-    ns = params.Ns
-    root = np.sqrt(ns**2 - u**2)
-    c2q = np.cos(2.0 * q)
-    hqq = -4.0 * params.v * root * c2q
-    hqp = 2.0 * params.v * u * np.sin(2.0 * q) / (params.hbar * root)
-    hpp = (-params.v * c2q * ns**2 / root**3 + params.g) / params.hbar**2
-    return np.array([[hqq, hqp], [hqp, hpp]])
-
-
 def fixed_points(params: ModelParams):
-    """All stationary points of H(p, q), classified by the Hessian.
+    """All stationary points of H(p, q), classified by the signs of the
+    Hessian's eigenvalues.
 
     Stationarity forces sin(2q) = 0, so candidates live on the q = 0 and
     q = pi/2 branches; on each branch the momentum condition is squared
@@ -120,8 +110,10 @@ def fixed_points(params: ModelParams):
                 continue
             seen.append(s)
             p0 = s * ns * params.hbar
-            hess = _hessian(params, q0, p0)
-            lam = np.linalg.eigvalsh(hess)
+            # sin 2q = 0 and cos 2q = sgn here, so the Hessian is diagonal
+            # and its eigenvalues are the curvatures in q and in p.
+            root = np.sqrt(ns**2 - (p0 / params.hbar) ** 2)
+            lam = sorted((-4.0 * v * root * sgn, (-v * sgn * ns**2 / root**3 + g) / params.hbar**2))
             degenerate = bool(np.min(np.abs(lam)) < deg_tol)
             if lam[0] >= 0:
                 kind = "minimum"
@@ -149,6 +141,32 @@ def fixed_points(params: ModelParams):
     return result
 
 
+def _rk4(params: ModelParams, deriv, y, t_final, dt, stop=lambda y: False):
+    """Fixed-step classical 4th-order Runge-Kutta of dy/dt = deriv(y) from
+    y over t_final, with dt = 1e-3/|v| by default.  Returns the times, the
+    states and whether the run stopped early: at a step whose substep
+    raised ``RimError`` (that step is dropped) or after a step whose state
+    satisfies ``stop``."""
+    if dt is None:
+        dt = 1e-3 / abs(params.v) if params.v else 1e-3
+    n = max(1, int(round(t_final / dt)))
+    out = np.empty((n + 1, *y.shape), dtype=y.dtype)
+    out[0] = y
+    for i in range(n):
+        try:
+            k1 = deriv(y)
+            k2 = deriv(y + 0.5 * dt * k1)
+            k3 = deriv(y + 0.5 * dt * k2)
+            k4 = deriv(y + dt * k3)
+        except RimError:
+            return dt * np.arange(i + 1), out[: i + 1], True
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+        if stop(y):
+            return dt * np.arange(i + 2), out[: i + 2], True
+    return dt * np.arange(n + 1), out, False
+
+
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
@@ -164,8 +182,6 @@ def integrate_trajectory(params: ModelParams, q0, p0, t_final, dt=None) -> Traje
     jumps during the integration.  If the trajectory reaches the rim the
     partial result is returned with ``hit_rim`` set.
     """
-    if dt is None:
-        dt = 1e-3 / abs(params.v) if params.v else 1e-3
     rim = params.p_max * (1.0 - 1e-12)
     if abs(p0) >= rim:
         raise RimError("trajectory must start strictly inside phase space")
@@ -174,31 +190,10 @@ def integrate_trajectory(params: ModelParams, q0, p0, t_final, dt=None) -> Traje
         dhdq, dhdp = gradient(params, y[0], y[1])
         return np.array([dhdp, -dhdq])
 
-    n = max(1, int(round(t_final / dt)))
-    y = np.array([q0, p0], dtype=float)
-    out = np.empty((n + 1, 2))
-    out[0] = y
-    hit = False
-    steps = n
-    for i in range(n):
-        try:
-            k1 = deriv(y)
-            k2 = deriv(y + 0.5 * dt * k1)
-            k3 = deriv(y + 0.5 * dt * k2)
-            k4 = deriv(y + dt * k3)
-        except RimError:
-            # A substep crossed the rim: stop with the partial trajectory.
-            hit = True
-            steps = i
-            break
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-        if abs(y[1]) >= rim - 1e-9 * params.p_max:
-            hit = True
-            steps = i + 1
-            break
-    out = out[: steps + 1]
-    t = dt * np.arange(out.shape[0])
+    # A substep that crosses the rim, or a step that ends at it, stops the
+    # run with the partial trajectory.
+    t, out, hit = _rk4(params, deriv, np.array([q0, p0], dtype=float), t_final, dt,
+                       stop=lambda y: abs(y[1]) >= rim - 1e-9 * params.p_max)
     return Trajectory(t=t, q=np.mod(out[:, 0], np.pi), p=out[:, 1], hit_rim=hit)
 
 
@@ -230,8 +225,6 @@ def gpe_propagate(params: ModelParams, psi0, t_final, dt=None) -> AmplitudeTraje
     i hbar d/dt (psi1, psi2) = ((eps + 2 g |psi1|^2, v), (v, -eps + 2 g |psi2|^2)) psi
     with norm |psi1|^2 + |psi2|^2 = Ns, conserved by the flow.
     """
-    if dt is None:
-        dt = 1e-3 / abs(params.v) if params.v else 1e-3
     psi0 = np.asarray(psi0, dtype=complex)
     norm = np.sum(np.abs(psi0) ** 2)
     if abs(norm - params.Ns) > 1e-10 * params.Ns:
@@ -244,15 +237,5 @@ def gpe_propagate(params: ModelParams, psi0, t_final, dt=None) -> AmplitudeTraje
         d2 = v * psi[0] + (-eps + 2.0 * g * abs(psi[1]) ** 2) * psi[1]
         return np.array([d1, d2]) / (1j * hbar)
 
-    n = max(1, int(round(t_final / dt)))
-    psi = psi0.copy()
-    out = np.empty((n + 1, 2), dtype=complex)
-    out[0] = psi
-    for i in range(n):
-        k1 = deriv(psi)
-        k2 = deriv(psi + 0.5 * dt * k1)
-        k3 = deriv(psi + 0.5 * dt * k2)
-        k4 = deriv(psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = psi
-    return AmplitudeTrajectory(t=dt * np.arange(n + 1), psi=out)
+    t, out, _ = _rk4(params, deriv, psi0, t_final, dt)
+    return AmplitudeTrajectory(t=t, psi=out)

@@ -42,6 +42,14 @@ class QuantizationError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class Level:
+    energy: float
+    region: str        # single | I | II | III
+    orbit_class: str | None
+    residual: float
+
+
 def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
     """Bracketed root refinement of every bracket [a[j], b[j]] in lockstep,
     by false position with the Illinois step (Dowell and Jarratt, BIT 11,
@@ -261,9 +269,9 @@ def quantize_double(params: ModelParams):
     """Every connection-condition root of a landscape: every level of a
     single well, or of a double well, its plain region-I levels included.
 
-    Returns a list of (energy, region, orbit_class, residual) sorted in
-    energy, region and orbit class as ``turning_points`` assigns them;
-    ``residual`` is the phase mismatch |psi - (2 pi k +- alpha)|.
+    Returns a list of ``Level`` records sorted in energy, region and
+    orbit class as ``turning_points`` assigns them; ``residual`` is the
+    phase mismatch |psi - (2 pi k +- alpha)|.
     """
     info = act._context(params)
     scale = params.energy_scale()
@@ -277,21 +285,13 @@ def quantize_double(params: ModelParams):
     for root, branch, resid in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
         found.setdefault(branch, (root, resid))
     E, resid = np.array(list(found.values())).reshape(-1, 2).T
-    return sorted(((e, geo.region, geo.orbit_class, r) for e, geo, r in
+    return sorted((Level(e, geo.region, geo.orbit_class, r) for e, geo, r in
                    zip(E.tolist(), act.turning_points(params, E), resid.tolist())),
-                  key=lambda level: level[0])
+                  key=lambda level: level.energy)
 
 
 # ---------------------------------------------------------------------------
 # full spectrum
-
-
-@dataclass(frozen=True)
-class Level:
-    energy: float
-    region: str        # single | I | II | III
-    orbit_class: str | None
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -312,11 +312,10 @@ def semiclassical_spectrum(params: ModelParams) -> SemiclassicalSpectrum:
     condition reduces to the plain rule wherever the upper lobe is empty:
     below the upper minimum, and everywhere in a single well.
     """
-    dbl = quantize_double(params)
-    if len(dbl) != params.N + 1:
+    levels = quantize_double(params)
+    if len(levels) != params.N + 1:
         raise QuantizationError(f"level count mismatch: connection condition found "
-                                f"{len(dbl)}, need {params.N + 1}")
-    levels = [Level(*level) for level in dbl]
+                                f"{len(levels)}, need {params.N + 1}")
     return SemiclassicalSpectrum(
         params=params,
         energies=np.array([l.energy for l in levels]),
@@ -348,13 +347,10 @@ def sweep_epsilon(params: ModelParams, eps_values) -> list:
     for e in eps_values:
         p = replace(params, eps=float(e))
         fps = fixed_points(p)
-        stationary = tuple((f.label, f.energy) for f in fps)
         try:
-            ex = exact_spectrum(p).energies
-            sc = semiclassical_spectrum(p).energies
-            out.append(SweepPoint(float(e), ex, sc, stationary,
-                                  swallowtail=len(fps) == 4))
+            ex, sc, error = exact_spectrum(p).energies, semiclassical_spectrum(p).energies, None
         except (QuantizationError, QuadratureError, ValueError) as exc:
-            out.append(SweepPoint(float(e), None, None, stationary,
-                                  swallowtail=len(fps) == 4, error=str(exc)))
+            ex, sc, error = None, None, str(exc)
+        out.append(SweepPoint(float(e), ex, sc, tuple((f.label, f.energy) for f in fps),
+                              swallowtail=len(fps) == 4, error=error))
     return out

@@ -43,12 +43,6 @@ def _orbit_interval(params: ModelParams, E):
     return tps[0], tps[-1]
 
 
-def _shaped(val, p):
-    """val laid out like the momenta p; a float for a scalar p."""
-    val = np.reshape(val, np.shape(p))
-    return float(val) if val.ndim == 0 else val
-
-
 def _weight(params: ModelParams, E, p):
     """1 / (sqrt|B(p)| T(E)) with B the speed bracket and T the period,
     the normalization integral of B^(-1/2) over the allowed range."""
@@ -98,10 +92,10 @@ def classical_density(params: ModelParams, E, p):
     is cured pointwise by the uniform approximation.
     """
     lo, hi = _orbit_interval(params, E)
-    p = np.asarray(p, dtype=float)
+    p, shaped = act._rows(p)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return _shaped(_weight(params, E, p.ravel()), p)
+    return shaped(_weight(params, E, p))
 
 
 def action_phase(params: ModelParams, E, p):
@@ -110,19 +104,19 @@ def action_phase(params: ModelParams, E, p):
     S grows from zero at p- and reaches the half-cycle phase at p+.
     """
     lo, hi = _orbit_interval(params, E)
-    p = np.asarray(p, dtype=float)
+    p, shaped = act._rows(p)
     if not np.all((lo.p <= p) & (p <= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return _shaped(_phase(params, E, lo, p.ravel()), p)
+    return shaped(_phase(params, E, lo, p))
 
 
 def forbidden_tail(params: ModelParams, E, p):
     """|Psi|^2 in the classically forbidden region: half the (modulus of
     the) classical weight damped by twice the imaginary action."""
     lo, hi = _orbit_interval(params, E)
-    p = np.asarray(p, dtype=float)
-    decay = _decay(params, E, lo, hi, p.ravel())
-    return _shaped(0.5 * _weight(params, E, p.ravel()) * np.exp(-2.0 * decay / params.hbar), p)
+    p, shaped = act._rows(p)
+    decay = _decay(params, E, lo, hi, p)
+    return shaped(0.5 * _weight(params, E, p) * np.exp(-2.0 * decay / params.hbar))
 
 
 def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -177,8 +171,8 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     matching accumulated phase; |xi| <= xi0 = sqrt(2n+1) on the allowed
     interval, continued through the decay integral outside it."""
     lo, hi = _orbit_interval(params, E)
-    p = np.asarray(p, dtype=float)
-    return _shaped(_oscillator_xi(params, n, E, lo, hi, p.ravel()), p)
+    p, shaped = act._rows(p)
+    return shaped(_oscillator_xi(params, n, E, lo, hi, p))
 
 
 def _oscillator_xi(params: ModelParams, n, E, lo, hi, ps):

@@ -3,7 +3,8 @@
 The closed-form Ferrari/Cardano solvers cross-check the companion-matrix
 `quartic_roots`; the finite-difference period dS/dE cross-checks the
 time integral `period_direct`; the guarded Sturm recurrence is what the
-IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit.
+IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit; the
+full 2x2 Hessian checks `fixed_points`, which reads only its diagonal.
 """
 
 import numpy as np
@@ -111,6 +112,18 @@ def period_fd(params, E, lobe="auto"):
         return (act.action(params, E + hh, lobe=lobe) - act.action(params, E - hh, lobe=lobe)) / (2.0 * hh)
 
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
+
+
+def hessian(params, q, p):
+    """The Hessian of H(p, q) in (q, p), off-diagonal terms included."""
+    u = p / params.hbar
+    ns = params.Ns
+    root = np.sqrt(ns**2 - u**2)
+    c2q = np.cos(2.0 * q)
+    hqq = -4.0 * params.v * root * c2q
+    hqp = 2.0 * params.v * u * np.sin(2.0 * q) / (params.hbar * root)
+    hpp = (-params.v * c2q * ns**2 / root**3 + params.g) / params.hbar**2
+    return np.array([[hqq, hqp], [hqp, hpp]])
 
 
 def sturm_count_guarded(d, e, x):

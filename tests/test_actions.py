@@ -7,7 +7,7 @@ import pytest
 from bosesemi import actions as act
 from bosesemi import meanfield as mf
 from bosesemi.model import ModelParams
-from oracles import period_fd
+from oracles import hessian, period_fd
 
 SUPER21 = ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
 LINEAR = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
@@ -405,7 +405,7 @@ def test_period_fd_vs_direct():
 def test_period_harmonic_limit():
     fps = [f for f in mf.fixed_points(SUPER21) if f.kind == "minimum"]
     f = fps[0]
-    hess = mf._hessian(SUPER21, f.q, f.p)
+    hess = hessian(SUPER21, f.q, f.p)
     omega = np.sqrt(hess[0, 0] * hess[1, 1])
     t = act.period_direct(SUPER21, f.energy + 1e-5 * SUPER21.energy_scale(), lobe="left")
     assert t == pytest.approx(2.0 * np.pi / omega, rel=1e-3)

@@ -195,6 +195,25 @@ def test_wavefunction_deep_symmetric_doublet(capsys):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_wavefunction_keeps_other_columns_when_a_form_fails_to_converge(capsys, monkeypatch):
+    # A quadrature that does not converge empties only its own form's
+    # column, as an unsupported geometry does.
+    from bosesemi import cli
+    from bosesemi.quad import QuadratureError
+
+    def fail(*args, **kw):
+        raise QuadratureError("quadrature did not converge")
+
+    monkeypatch.setattr(cli.wf, "primitive_wavefunction", fail)
+    code, out, err = run_cli(capsys, "wavefunction", "--particles", "14", "--g-over-ns",
+                             "-0.6", "--epsilon", "0.6", "--state", "0", "--method", "both")
+    assert code == 0
+    assert err.splitlines() == ["primitive form unavailable: quadrature did not converge"]
+    _, rows = parse_csv(out)
+    assert len(rows) == 15
+    assert all(r[1] != "" and r[2] == "" and r[3] != "" for r in rows)
+
+
 def test_wavefunction_primitive_on_the_upper_minimum(capsys):
     # State 3 quantizes a few ulp above the upper well minimum, inside
     # the roundoff sliver of the upper lobe; its primitive form builds.

@@ -3,6 +3,7 @@ import pytest
 
 from bosesemi import meanfield as mf
 from bosesemi.model import ModelParams
+from oracles import hessian
 
 SUPER21 = ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)  # Ns = 21
 
@@ -117,7 +118,7 @@ def test_fixed_points_biased_supercritical():
     for f in fps:
         dq, dp_ = mf.gradient(p, f.q, f.p)
         assert abs(dq) < 1e-10 and abs(dp_) < 1e-10
-        hess = mf._hessian(p, f.q, f.p)
+        hess = hessian(p, f.q, f.p)
         lam = np.linalg.eigvalsh(hess)
         if f.kind == "minimum":
             assert lam[0] > 0
@@ -125,6 +126,29 @@ def test_fixed_points_biased_supercritical():
             assert lam[1] < 0
         else:
             assert lam[0] < 0 < lam[1]
+
+
+@pytest.mark.filterwarnings("ignore:parameters outside the validated regime")
+def test_fixed_point_classification_matches_full_hessian():
+    # fixed_points reads only the Hessian's diagonal, since sin 2q = 0 at
+    # a stationary point; the full Hessian's eigenvalues must agree on
+    # the kind and on degeneracy.
+    degenerate = set()
+    for N in (1, 2, 5, 10, 20, 40):
+        for g_ns in (-12.0, -6.0, -3.0, -1.0, -0.5, 0.0, 0.5, 3.0):
+            for eps in (-2.5, -1.0, -0.3, 0.0, 0.3, 1.2):
+                for v in (1.0, -1.0):
+                    p = ModelParams(N=N, eps=eps, v=v, g=g_ns / (N + 1))
+                    tol = 1e-9 * (abs(v) * p.Ns + abs(p.g) * p.Ns**2)
+                    for f in mf.fixed_points(p):
+                        lam = np.linalg.eigvalsh(hessian(p, f.q, f.p))
+                        kind = "minimum" if lam[0] >= 0 else "maximum" if lam[1] <= 0 else "saddle"
+                        assert f.kind == kind, (N, g_ns, eps, v, f)
+                        assert f.degenerate == (np.min(np.abs(lam)) < tol), (N, g_ns, eps, v, f)
+                        if f.degenerate:
+                            degenerate.add((N, g_ns, eps, f.kind))
+    # At the critical coupling the minimum's p curvature vanishes.
+    assert (20, -1.0, 0.0, "minimum") in degenerate
 
 
 def test_regime_classification():

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -23,9 +21,7 @@ def test_semiclassical_spectrum_tracks_exact(N, g_ns, eps, v):
     # within a tenth of a mean spacing.  A doublet split below roundoff
     # (N=17, g*Ns=-12, eps=0: 2 ulp in the exact spectrum) may give two
     # equal levels.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # v < 0 is flagged as unvalidated
-        p = ModelParams(N=N, eps=eps, v=v, g=g_ns / (N + 1))
+    p = ModelParams(N=N, eps=eps, v=v, g=g_ns / (N + 1))
     sc = semiclassical_spectrum(p).energies
     ex = exact_spectrum(p).energies
     e_min, e_max = act.classical_range(p)
@@ -44,3 +40,17 @@ def test_semiclassical_spectrum_tracks_exact_at_large_n(N, g_ns, eps):
     # into slivers the contour must not count as orbits; the assertions
     # are those of the test above.
     test_semiclassical_spectrum_tracks_exact.hypothesis.inner_test(N, g_ns, eps, 1.0)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(N=st.integers(1, 30),
+       eps=st.floats(-1000.0, 1000.0),
+       v=st.sampled_from([-1.0, 1.0]))
+def test_linear_model_spectrum_is_exact(N, eps, v):
+    # Without interaction the quantization rule is exact, and a strong
+    # bias squeezes the extremal orbits against the rim.
+    p = ModelParams(N=N, eps=eps, v=v, g=0.0)
+    sc = semiclassical_spectrum(p).energies
+    ex = exact_spectrum(p).energies
+    assert sc.size == N + 1
+    assert np.max(np.abs(sc - ex)) <= 1e-10 * (ex[-1] - ex[0]) / N

@@ -280,6 +280,17 @@ def test_condition_evaluations_per_spectrum(monkeypatch, eps):
     assert len(calls) <= 12
 
 
+@pytest.mark.parametrize("N, eps", [(1, 1000.0), (5, 1000.0), (20, 300.0)])
+def test_linear_model_at_strong_bias(N, eps):
+    # The grid's end orbit hugs the rim, 2.8e-7 p_max wide at N=5, eps=1000;
+    # the squared turning quartic alone put its ends 4e-9 off in momentum,
+    # and the area quadrature did not converge there.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=0.0)
+    sc, ex = semiclassical_spectrum(p).energies, exact_spectrum(p).energies
+    assert sc.size == N + 1
+    assert np.max(np.abs(sc - ex)) <= 1e-10 * (ex[-1] - ex[0]) / N
+
+
 @pytest.mark.parametrize("N,eps", [(20, 0.0), (20, 0.5), (20, 1.0), (20, 1.5), (80, 0.7)])
 def test_phase_grid_row_budget(monkeypatch, N, eps):
     # The grid starts from 4(N+1) energies and splits only the intervals
