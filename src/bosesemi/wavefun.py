@@ -11,7 +11,9 @@ momenta, and find the orbit at E once per call.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -19,36 +21,52 @@ from . import actions as act
 from .model import ModelParams, _level_index
 from .quad import turning_point_rows
 from .quantum import MomentumWavefunction, momentum_grid
-from .quantize import _bisect, quantize_single
+from .quantize import quantize_single
+
+
+# A state's orbit and its integrals on the grid p = hbar * momentum_grid: the
+# weight, and the phase S(p) on the orbit or the decay integral off it.  Its
+# arrays are read-only, since ``_level`` hands one record to every caller.
+_State = namedtuple("_State", "E lo hi period on_orbit integral weight")
+
+
+def _state(params: ModelParams, E):
+    """The record of the state at energy E: one orbit lookup, one period,
+    one phase and one decay quadrature for the whole grid."""
+    lo, hi = _orbit_interval(params, E)
+    p = momentum_grid(params) * params.hbar
+    period = act.period_direct(params, E, lobe="auto")
+    arrays = (*_integrals(params, E, lo, hi, p), _weight(params, E, period, p))
+    for a in arrays:
+        a.flags.writeable = False
+    return _State(E, lo, hi, period, *arrays)
 
 
 @lru_cache(maxsize=1)
 def _level(params: ModelParams, n):
-    """``quantize_single(params, n)``, kept for the last state asked for, so
-    that both forms of a state built without an energy solve it once."""
-    return quantize_single(params, n)
+    """The record of state n at its level, kept for the last state asked for:
+    both forms built without an energy share one solve and one set of integrals."""
+    return _state(params, quantize_single(params, n))
 
 
 def _orbit_interval(params: ModelParams, E):
     """The single orbit's momentum range [(p-, branch), (p+, branch)]."""
     geo = act.turning_points(params, E)
     if geo.orbit_class == "double_well_pair":
-        raise act.GeometryError(
-            "two disconnected orbits at this energy; wavefunction forms "
-            "are defined per single orbit"
-        )
+        raise act.GeometryError("two disconnected orbits at this energy; wavefunction "
+                                "forms are defined per single orbit")
     tps = geo.turning_points
     if len(tps) < 2:
         raise act.GeometryError("no classical orbit at this energy")
     return tps[0], tps[-1]
 
 
-def _weight(params: ModelParams, E, p):
-    """1 / (sqrt|B(p)| T(E)) with B the speed bracket and T the period,
-    the normalization integral of B^(-1/2) over the allowed range."""
+def _weight(params: ModelParams, E, period, p):
+    """1 / (sqrt|B(p)| T) with B the speed bracket and T = ``period`` the
+    period at E, the normalization integral of B^(-1/2) over the allowed range."""
     bracket = act._speed_bracket(params, E)
     with np.errstate(divide="ignore"):
-        return 1.0 / (np.sqrt(np.abs(bracket(p))) * act.period_direct(params, E, lobe="auto"))
+        return 1.0 / (np.sqrt(np.abs(bracket(p))) * period)
 
 
 def _phase(params: ModelParams, E, lo, p):
@@ -84,6 +102,16 @@ def _decay(params: ModelParams, E, lo, hi, p):
         minlength=len(p))
 
 
+def _integrals(params: ModelParams, E, lo, hi, p):
+    """(on_orbit, integral): which momenta lie on the orbit lo..hi, and the
+    phase S(p) there, the decay integral elsewhere."""
+    on_orbit = (lo.p <= p) & (p <= hi.p)
+    integral = np.empty_like(p)
+    integral[on_orbit] = _phase(params, E, lo, p[on_orbit])
+    integral[~on_orbit] = _decay(params, E, lo, hi, p[~on_orbit])
+    return on_orbit, integral
+
+
 def classical_density(params: ModelParams, E, p):
     """Classical momentum distribution w(p) = C / sqrt(bracket), with C
     fixed by unit integral over the classically allowed range.
@@ -95,7 +123,7 @@ def classical_density(params: ModelParams, E, p):
     p, shaped = act._rows(p)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return shaped(_weight(params, E, p))
+    return shaped(_weight(params, E, act.period_direct(params, E, lobe="auto"), p))
 
 
 def action_phase(params: ModelParams, E, p):
@@ -116,7 +144,8 @@ def forbidden_tail(params: ModelParams, E, p):
     lo, hi = _orbit_interval(params, E)
     p, shaped = act._rows(p)
     decay = _decay(params, E, lo, hi, p)
-    return shaped(0.5 * _weight(params, E, p) * np.exp(-2.0 * decay / params.hbar))
+    weight = _weight(params, E, act.period_direct(params, E, lobe="auto"), p)
+    return shaped(0.5 * weight * np.exp(-2.0 * decay / params.hbar))
 
 
 def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -124,18 +153,13 @@ def primitive_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefuncti
     allowed grid points, with decaying tails outside, renormalized to
     unit sum on the discrete grid."""
     _level_index(params, n)
-    E = _level(params, n) if E is None else E
-    lo, hi = _orbit_interval(params, E)
-    grid = momentum_grid(params)
-    p = grid * params.hbar
-    inside = (lo.p < p) & (p < hi.p)
-    vals = _weight(params, E, p)
-    s = _phase(params, E, lo, p[inside])
-    vals[inside] *= 2.0 * np.cos(s / params.hbar - 0.25 * np.pi) ** 2
-    vals[~inside] *= 0.5 * np.exp(-2.0 * _decay(params, E, lo, hi, p[~inside]) / params.hbar)
-    return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
+    st = _level(params, n) if E is None else _state(params, E)
+    s = st.integral
+    vals = st.weight * np.where(st.on_orbit, 2.0 * np.cos(s / params.hbar - 0.25 * np.pi) ** 2,
+                                0.5 * np.exp(-2.0 * s / params.hbar))
+    return MomentumWavefunction(grid=momentum_grid(params), values=vals / vals.sum(),
                                 kind="primitive", state_index=int(n),
-                                energy=float(E))
+                                energy=float(st.E))
 
 
 def _hermite_weight(n, xi):
@@ -172,28 +196,41 @@ def oscillator_coordinate(params: ModelParams, n, E, p):
     interval, continued through the decay integral outside it."""
     lo, hi = _orbit_interval(params, E)
     p, shaped = act._rows(p)
-    return shaped(_oscillator_xi(params, n, E, lo, hi, p))
+    on_orbit, integral = _integrals(params, E, lo, hi, p)
+    return shaped(_oscillator_xi(n, on_orbit, integral / params.hbar, p < lo.p))
 
 
-def _oscillator_xi(params: ModelParams, n, E, lo, hi, ps):
-    """``oscillator_coordinate`` on the momenta ps of the orbit lo..hi."""
-    xi0 = np.sqrt(2.0 * n + 1.0)
-    allowed = (lo.p <= ps) & (ps <= hi.p)
-    phase = _phase(params, E, lo, ps[allowed]) / params.hbar
-    top = _ho_phase(xi0, xi0)
-    if np.any((phase < 0) | (phase > top + 1e-9)):
+# x - sin x, sinh x - x = x^3 sum_k (-+x^2)^k / (2k+3)!, to 5e-17 by k = 7 below x = 1.
+_KEPLER_SERIES = np.array([1.0 / factorial(k) for k in range(17, 2, -2)])
+
+
+def _oscillator_xi(n, on_orbit, t, below):
+    """The oscillator coordinate xi whose phase integral from -xi0 is t on
+    the orbit, or whose decay integral from xi0 to |xi| is t off it,
+    negative below the orbit.
+
+    With xi = -xi0 cos(x/2) the phase is (xi0^2/4)(x - sin x), and with
+    |xi| = xi0 cosh(x/2) the decay is (xi0^2/4)(sinh x - x): Kepler's
+    equation in m = 4 t / xi0^2, solved per element by five Newton steps
+    from cbrt(6m), a lower bound on the orbit, or from the upper bound
+    min(cbrt(6m), asinh(m + cbrt(6m))) off it; four steps reach an ulp for m
+    from 1e-300 to pi or 1e5.  Past half the orbit, x -> 2 pi - x counts
+    the phase from the upper turning point."""
+    xi0sq = 2.0 * n + 1.0
+    top = 0.5 * np.pi * xi0sq
+    if np.any(on_orbit & ((t < 0) | (t > top + 1e-9))):
         raise ValueError("phase outside the oscillator mapping range")
-    xi = np.empty_like(ps)
-    t = np.minimum(phase, top)
-    xi[allowed] = _bisect(lambda x, rows: _ho_phase(x, xi0) - t[rows],
-                          -xi0, np.full(t.shape, xi0))[0]
-    # Forbidden side: match the decay integral with |xi| beyond xi0; it
-    # exceeds (xi - xi0)^2 / 2, which bounds the root.
-    decay = _decay(params, E, lo, hi, ps[~allowed]) / params.hbar
-    xi[~allowed] = _bisect(lambda x, rows: _ho_decay(x, xi0) - decay[rows],
-                           xi0, xi0 + 1.0 + np.sqrt(2.0 * decay))[0]
-    xi[ps < lo.p] *= -1.0
-    return xi
+    upper = on_orbit & (t > 0.5 * top)
+    m = 4.0 * np.where(upper, top - np.minimum(t, top), t) / xi0sq
+    c = np.cbrt(6.0 * m)
+    x = np.where(on_orbit, c, np.minimum(c, np.arcsinh(m + c)))
+    for _ in range(5):
+        half = np.where(on_orbit, np.sin(0.5 * x), np.sinh(0.5 * x))
+        series = x**3 * np.polyval(_KEPLER_SERIES, np.where(on_orbit, -x * x, x * x))
+        f = np.where(x < 1.0, series, np.where(on_orbit, x - np.sin(x), np.sinh(x) - x))
+        x = x - (f - m) / np.maximum(2.0 * half * half, 1e-300)
+    xi = np.sqrt(xi0sq) * np.where(on_orbit, np.cos(0.5 * x), np.cosh(0.5 * x))
+    return np.where(upper | ~(on_orbit | below), xi, -xi)
 
 
 def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction:
@@ -205,24 +242,27 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     reports the reason on stderr.
     """
     _level_index(params, n)
-    E = _level(params, n) if E is None else E
-    lo, hi = _orbit_interval(params, E)
+    st = _level(params, n) if E is None else _state(params, E)
+    lo, hi = st.lo, st.hi
     if not (lo.branch == "U-" and hi.branch == "U-"):
-        raise act.GeometryError(
-            "uniform approximation implemented only for orbits with both "
-            "turning points on the lower potential curve"
-        )
+        raise act.GeometryError("uniform approximation implemented only for orbits with "
+                                "both turning points on the lower potential curve")
     grid = momentum_grid(params)
     p = grid * params.hbar
-    pscale = params.p_max
+    on_orbit, integral, weight = st.on_orbit, st.integral, st.weight
     # Nudge off a turning point, where weight and envelope separately
-    # blow up / vanish; the product stays finite either side.
+    # blow up / vanish; the product stays finite either side.  Only the
+    # nudged momenta are integrated afresh.
     d_lo, d_hi = np.abs(p - lo.p), np.abs(p - hi.p)
-    nudge = 1e-6 * pscale * np.where(d_lo < d_hi, 1.0, -1.0)
-    p = np.where(np.minimum(d_lo, d_hi) < 1e-9 * pscale, p + nudge, p)
-    xi = _oscillator_xi(params, n, E, lo, hi, p)
-    envelope = np.abs(_weight(params, E, p) * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
+    near = np.minimum(d_lo, d_hi) < 1e-9 * params.p_max
+    if near.any():
+        p = np.where(near, p + 1e-6 * params.p_max * np.where(d_lo < d_hi, 1.0, -1.0), p)
+        on_orbit, integral, weight = on_orbit.copy(), integral.copy(), weight.copy()
+        on_orbit[near], integral[near] = _integrals(params, st.E, lo, hi, p[near])
+        weight[near] = _weight(params, st.E, st.period, p[near])
+    xi = _oscillator_xi(n, on_orbit, integral / params.hbar, p < lo.p)
+    envelope = np.abs(weight * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
     vals = envelope * _hermite_weight(n, xi)
     return MomentumWavefunction(grid=grid, values=vals / vals.sum(),
                                 kind="uniform", state_index=int(n),
-                                energy=float(E))
+                                energy=float(st.E))

@@ -15,9 +15,11 @@ The groups:
     period        ``period_direct(lobe="total")`` at 75 energies inside
                   the classical range at (N, g*Ns, eps) = (20, -3, 0.5),
                   (100, -0.6, 0.6) and (400, -3, 1);
-    states        the primitive and uniform wavefunction values at the
-                  parameter sets and states of the benchmark's ``states``
-                  workload;
+    primitive     the primitive wavefunction (kind, energy and values)
+                  at the parameter sets and states of the benchmark's
+                  ``states`` workload, each state built without an energy;
+    uniform       the uniform wavefunction at the same states, so that a
+                  change to one form shows which form moved;
     trajectory    ``integrate_trajectory`` on a run that hits the rim and
                   on one that does not;
     gpe           ``gpe_propagate`` from one phase-space point.
@@ -97,19 +99,19 @@ def hashes():
         e_min, e_max = act.classical_range(params)
         return act.period_direct(params, np.linspace(e_min, e_max, 77)[1:-1], lobe="total")
 
-    def state(params, n, uniform):
-        out = [wf.primitive_wavefunction(params, n)]
-        out += [wf.uniform_wavefunction(params, n)] if uniform else []
-        return [(w.kind, w.energy, w.values) for w in out]
+    def state(build, params, n):
+        w = build(params, n)
+        return w.kind, w.energy, w.values
 
     def fixed_points():
         for point in FIXED_POINT_GRID:
             yield point, _outcome(mf.fixed_points, _params(*point))
 
-    def states():
+    def states(build, uniform_only=False):
         for N, g_ns, eps, ns, uniform in STATE_POINTS:
             for n in ns:
-                yield _outcome(state, _params(N, g_ns, eps), n, n in uniform)
+                if n in uniform or not uniform_only:
+                    yield _outcome(state, build, _params(N, g_ns, eps), n)
 
     def trajectories():
         rim = _params(10, 0.0, 0.0)
@@ -127,7 +129,8 @@ def hashes():
     groups = {
         "fixed_points": fixed_points,
         "period": lambda: [_outcome(period, _params(*point)) for point in PERIOD_POINTS],
-        "states": states,
+        "primitive": lambda: states(wf.primitive_wavefunction),
+        "uniform": lambda: states(wf.uniform_wavefunction, uniform_only=True),
         "trajectory": trajectories,
         "gpe": gpe,
     }

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -12,9 +13,13 @@ from bosesemi import wavefun as wf
 from bosesemi.model import ModelParams
 from bosesemi.quantize import quantize_single, semiclassical_spectrum
 from bosesemi.quantum import exact_spectrum, momentum_representation
+from oracles import oscillator_inverse
 
 BIASED14 = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
 SYM14 = ModelParams(N=14, eps=0.0, v=1.0, g=-0.9 / 15.0)
+BIASED100 = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0)
+# The parameter sets and states of the benchmark's ``states`` workload.
+STATES = [(BIASED14, 0), (SYM14, 2)] + [(BIASED100, n) for n in range(5)]
 
 
 def test_hermite_weight_against_mpmath():
@@ -181,6 +186,54 @@ def test_oscillator_coordinate_special_points():
             wf.action_phase(SYM14, E, p) / SYM14.hbar, abs=1e-9)
 
 
+def _oracle_xi(params, n, E, p):
+    """(xi, on_orbit): ``oscillator_inverse`` at the phase or decay
+    integrals the library finds at momenta p, negative below the orbit."""
+    lo, hi = wf._orbit_interval(params, E)
+    on_orbit, integral = wf._integrals(params, E, lo, hi, p)
+    ref = np.array([oscillator_inverse(t / params.hbar, n, forbidden=not on)
+                    for t, on in zip(integral, on_orbit)])
+    return np.where(p < lo.p, -ref, ref), on_orbit
+
+
+@pytest.mark.parametrize("params,n", STATES)
+def test_oscillator_coordinate_against_mpmath(params, n):
+    # The Kepler-form map agrees with a 40-digit inversion of the closed
+    # forms to 1e-14 at every grid momentum (measured 3.6e-15; the
+    # bisection it replaced gave 4.6e-14).
+    E = quantize_single(params, n)
+    p = wf.momentum_grid(params) * params.hbar
+    ref, _ = _oracle_xi(params, n, E, p)
+    assert np.max(np.abs(wf.oscillator_coordinate(params, n, E, p) - ref)) <= 1e-14
+    # 1e-10 off each turning point the same holds (measured 4.4e-16; the
+    # bisection gave up to 1.1e-8), except on the orbit's upper half: there
+    # xi follows the phase counted down from the top pi (2n+1)/2, which
+    # rounding moves by up to an ulp, and xi by that over sqrt(2n+1-xi^2).
+    lo, hi = wf._orbit_interval(params, E)
+    p = np.array([lo.p - 1e-10, lo.p + 1e-10, hi.p - 1e-10, hi.p + 1e-10])
+    ref, on_orbit = _oracle_xi(params, n, E, p)
+    top = 0.5 * np.pi * (2 * n + 1)
+    with np.errstate(divide="ignore"):
+        ulp_shift = np.spacing(top) / np.sqrt(np.abs(2 * n + 1 - ref**2))
+    tol = 1e-14 + np.where(on_orbit & (ref > 0), ulp_shift, 0.0)
+    assert np.all(np.abs(wf.oscillator_coordinate(params, n, E, p) - ref) <= tol)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 1500])
+def test_oscillator_map_ends(n):
+    # Phase 0 and the top phase are the turning points -xi0 and xi0, as is
+    # decay 0; a decay of 1e3 lies deep in the tail (|xi| 45-81), where
+    # xi is good to a few ulp.
+    xi0 = np.sqrt(2 * n + 1.0)
+    t = np.array([0.0, 0.5 * np.pi * (2 * n + 1), 0.0, 0.0, 1e3, 1e3])
+    on_orbit = np.array([True, True, False, False, False, False])
+    below = np.array([False, False, False, True, False, True])
+    xi = wf._oscillator_xi(n, on_orbit, t, below)
+    assert np.array_equal(xi[:4], [-xi0, xi0, xi0, -xi0])
+    deep = oscillator_inverse(1e3, n, forbidden=True)
+    assert xi[4] == -xi[5] == pytest.approx(deep, rel=1e-15, abs=1e-14)
+
+
 def test_one_orbit_lookup_per_state(monkeypatch):
     # Each builder finds the orbit at a given energy once and hands it to
     # every helper it calls.
@@ -209,16 +262,60 @@ def test_both_forms_share_one_level_solve(monkeypatch):
     assert calls == [(BIASED14, 0), (BIASED14, 1), (SYM14, 1)]
 
 
+def test_both_forms_share_one_state_record(monkeypatch):
+    # Built without an energy, the two forms of a state share one orbit
+    # lookup, one period and one phase and one decay quadrature over the
+    # grid; another state or other parameters compute their own.  No grid
+    # momentum here lies within 1e-9 p_max of a turning point, so the
+    # uniform form nudges none and integrates nothing afresh.
+    counts = Counter()
+    for mod, name in ((act, "turning_points"), (act, "period_direct"),
+                      (wf, "_phase"), (wf, "_decay")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **kw:
+                            counts.update([_n]) or _f(*a, **kw))
+    names = {"turning_points", "period_direct", "_phase", "_decay"}
+    wf._level.cache_clear()
+    for k, (params, n) in enumerate([(BIASED100, 2), (BIASED100, 3), (SYM14, 3)], start=1):
+        prim, uni = wf.primitive_wavefunction(params, n), wf.uniform_wavefunction(params, n)
+        assert counts == dict.fromkeys(names, k)
+        assert prim.energy == uni.energy == wf._level(params, n).E
+    record = wf._level(SYM14, 3)
+    for values in (record.on_orbit, record.integral, record.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[1]
+
+
+def test_uniform_nudges_a_grid_momentum_off_a_turning_point(monkeypatch):
+    # At an energy whose lower turning point is the grid momentum -12, the
+    # uniform form moves that momentum 1e-6 p_max into the orbit and
+    # integrates afresh there only, leaving the state record as it was.
+    from bosesemi.meanfield import momentum_potentials
+    p_grid = wf.momentum_grid(BIASED14) * BIASED14.hbar
+    E = float(momentum_potentials(BIASED14, p_grid[1])[0])
+    record = wf._state(BIASED14, E)
+    assert abs(record.lo.p - p_grid[1]) < 1e-9 * BIASED14.p_max
+    kept = [a.copy() for a in record[4:]]
+    rows, real = [], wf._phase
+    monkeypatch.setattr(wf, "_phase", lambda *a: rows.append(len(a[-1])) or real(*a))
+    monkeypatch.setattr(wf, "_state", lambda *a: record)
+    uni = wf.uniform_wavefunction(BIASED14, 0, E)
+    assert rows == [1]
+    assert all(np.array_equal(a, b) for a, b in zip(record[4:], kept))
+    assert np.all(np.isfinite(uni.values)) and np.all(uni.values >= 0)
+    assert 0.0 < uni.values[1] < 3.0 * max(uni.values[0], uni.values[2])
+
+
 def test_level_cache_is_safe_across_threads():
-    # Three threads on different states share the one-entry level cache
-    # for 0.3 s; each must get its own level, whether its lookup hits or
-    # not.  A thread hands on the interpreter lock after each pair of
-    # lookups, and switching every microsecond interleaves the solves, so
-    # the states alternate in the cache (measured 45-53 misses and 285-613
-    # hits).  A memo that stores its key before its level failed here on
-    # each of 3 runs.
+    # Three threads on different states share the one-entry state cache
+    # for 0.3 s; each must get its own state record, its level and every
+    # array, whether its lookup hits or not.  A thread hands on the
+    # interpreter lock after each pair of lookups, and switching every
+    # microsecond interleaves the solves, so the states alternate in the
+    # cache (measured 14-20 misses and 2,700-4,200 hits).  A memo that
+    # stores its key before its level failed here on each of 3 runs.
     states = [(BIASED14, 0), (SYM14, 2), (BIASED14, 1)]
-    serial = [quantize_single(p, n) for p, n in states]
+    serial = [wf._state(p, quantize_single(p, n)) for p, n in states]
     results, errors, start = [[], [], []], [], threading.Barrier(3)
 
     def run(i):
@@ -245,7 +342,8 @@ def test_level_cache_is_safe_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     for got, want in zip(results, serial):
-        assert got and got == [want] * len(got)
+        assert got and all(r[:4] == want[:4] and all(
+            np.array_equal(a, b) for a, b in zip(r[4:], want[4:])) for r in got)
     info = wf._level.cache_info()
     assert info.misses > len(states) and info.hits > 0
 
