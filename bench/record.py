@@ -18,11 +18,15 @@ every run's metrics, operation counts and ``correct`` flag, and per
 end-to-end metric both sides' medians and quartiles, the median and
 quartiles of the per-seed ratios head / base, the number of seeds on
 which head is better, whether head's median is worse than base's by
-more than the metric's ``bound`` (relative, in the direction the metric
-counts as better), and whether a gain is shown (``gain_shown``: head is
-better in at least 9 of 10 pairs, and its median is better than base's
-by more than base's quartile distance); per workload also each side's
-failed operations and its number of runs flagged not ``correct``.
+more than the metric's ``bound`` (``beyond_bound``: relative, in the
+direction the metric counts as better), whether the median per-seed
+ratio is worse than 1 by more than the bound (``beyond_bound_paired``:
+a side's median alone moves with how many slow runs that side drew on
+a machine whose timings are bimodal), and whether a gain is shown
+(``gain_shown``: head is better in at least 9 of 10 pairs, and its
+median is better than base's by more than base's quartile distance);
+per workload also each side's failed operations and its number of runs
+flagged not ``correct``.
 
 After the paired runs, each side runs every workload once more with
 ``--trace 1`` at seed 1, and the record keeps those per-layer metrics
@@ -134,6 +138,8 @@ def record(base_dir, bench, seeds):
             m = _summary(side("base"), side("head"), decl["better"])
             m["beyond_bound"] = _beyond_bound(m["base_median"], m["head_median"],
                                               decl["better"], decl["bound"])
+            m["beyond_bound_paired"] = _beyond_bound(1.0, m["ratio_median"],
+                                                     decl["better"], decl["bound"])
             metrics[decl["name"]] = {"unit": decl["unit"], "better": decl["better"],
                                      "bound": decl["bound"], **m}
         failed = {s: sum(r["failed"] for r in runs if r["side"] == s) for s in ("base", "head")}
@@ -191,6 +197,7 @@ def main(argv=None):
                   f"  ratio {m['ratio_median']:.3f} [{m['ratio_q1']:.3f}, {m['ratio_q3']:.3f}]"
                   f"  head better in {m['head_wins']}/{m['pairs']}"
                   f"  worse beyond bound {m['bound']}: {'YES' if m['beyond_bound'] else 'no'}"
+                  f" (paired: {'YES' if m['beyond_bound_paired'] else 'no'})"
                   f"  gain shown: {'yes' if m['gain_shown'] else 'no'}")
     print(f"wrote {os.path.relpath(path)}")
     return 1 if worse else 0

@@ -163,18 +163,9 @@ class _Contour(NamedTuple):
 
 def _orbit(params: ModelParams, E) -> _Contour:
     """The contours at the energies E, one row per energy, from one
-    stacked solve of the turning quartics.  The last batch asked for is
-    kept, keyed on the parameters and the energies themselves, so every
-    consumer of that same batch reads one solve and no lookup, from any
-    thread, returns another batch's contours."""
-    return _solve_orbits(params, np.asarray(E, dtype=float).reshape(-1).tobytes())
-
-
-@lru_cache(maxsize=1)
-def _solve_orbits(params: ModelParams, energies: bytes) -> _Contour:
-    """The contours at the energies E (as float64 bytes) from the turning
-    quartics [A - eps*s - (G/2) s^2]^2 - v^2 (1 - s^2), one stacked solve."""
-    E = np.frombuffer(energies)
+    stacked solve of the turning quartics [A - eps*s - (G/2) s^2]^2 -
+    v^2 (1 - s^2)."""
+    E = np.asarray(E, dtype=float).reshape(-1)
     ns, hbar, pmax = params.Ns, params.hbar, params.p_max
     G = params.g * ns
     A = E / ns - 0.5 * G
@@ -219,9 +210,6 @@ def _solve_orbits(params: ModelParams, energies: bytes) -> _Contour:
     return _Contour(lead, roots, tp, upper, a, b, kind, (kind == _FORBIDDEN).cumsum(axis=1))
 
 
-_orbit.cache_clear = _solve_orbits.cache_clear
-
-
 def _ncomp(orb: _Contour):
     """The number of components of each contour: forbidden segments part
     them, so they are the ids that own an allowed or open segment."""
@@ -229,17 +217,16 @@ def _ncomp(orb: _Contour):
     return owned.any(axis=1).sum(axis=1)
 
 
-def _speed_bracket(params: ModelParams, E):
+def _speed_bracket(params: ModelParams, orb: _Contour):
     """Factored evaluator of B(p) = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2+u^2)/2)^2.
 
     B is minus the turning-point quartic, so evaluating it as a product
     over the quartic's roots avoids the catastrophic cancellation of the
     closed form near turning points (|dH/dq| = 2 sqrt(B) there), which
     matters for large particle numbers.  ``bracket(p, rows)`` evaluates
-    the B of energy ``rows[j]`` at the points ``p[j]``; ``bracket(p)``
-    that of a scalar E.
+    the B of the contour record ``orb``'s row ``rows[j]`` at the points
+    ``p[j]``; ``bracket(p)`` that of its first row.
     """
-    orb = _orbit(params, E)
     ns2 = params.Ns ** 2
 
     def bracket(p, rows=0):
@@ -267,11 +254,19 @@ def turning_points(params: ModelParams, E):
     barrier, region I has an empty upper lobe (``_upper_empty``) and II is
     the ``double_well_pair``; other classes are the off-rim branch set,
     and a point orbit has none."""
+    return _turning_points(params, E)
+
+
+def _turning_points(params: ModelParams, E, orb: _Contour | None = None):
+    """``turning_points`` at E, read from the contour record ``orb`` at E
+    where the caller has one; otherwise only the energies inside the
+    classical range are solved."""
     info = _context(params)
     Er, _ = _rows(E)
     tol = 1e-12 * params.energy_scale()
     inside = (Er >= info.e_min_lower - tol) & (Er <= info.e_max + tol)
-    orb, pmax, Ein = _orbit(params, Er[inside]), params.p_max, Er[inside]
+    orb = _orbit(params, Er[inside]) if orb is None else orb._make(x[inside] for x in orb)
+    pmax, Ein = params.p_max, Er[inside]
     # Turning point j lies between segments j and j+1; it goes where they
     # share a kind or one is an empty segment between two turning points:
     # a sliver, or the double root of a point orbit or a tangency.
@@ -397,12 +392,13 @@ def period_direct(params: ModelParams, E, lobe="auto"):
     sep = np.abs(Er - _context(params).e_barr) < 1e-9 * params.energy_scale()
     if np.ndim(E) == 0 and sep[0]:
         raise SeparatrixError("period diverges on the separatrix")
-    a, b, kind = _lobe(params, _orbit(params, Er[~sep]), lobe)
+    orb = _orbit(params, Er[~sep])
+    a, b, kind = _lobe(params, orb, lobe)
     allowed = kind == _ALLOWED
     if not allowed.any(axis=1).all():
         raise GeometryError("no classically allowed momenta at this energy")
     owner = np.nonzero(allowed)[0]
-    bracket = _speed_bracket(params, Er[~sep])
+    bracket = _speed_bracket(params, orb)
     out = np.full(len(Er), np.inf)
     out[~sep] = np.bincount(owner, turning_point_rows(
         lambda r, p: 1.0 / np.sqrt(np.maximum(bracket(p, owner[r]), 1e-300)),

@@ -6,7 +6,10 @@ approximation, all sampled on the discrete momentum grid
 p = -N, -N+2, ..., N and renormalized to unit sum there.
 
 The momentum functions take a scalar (returning a float) or an array of
-momenta, and find the orbit at E once per call.
+momenta, and solve the contour at E once per call; the two normalised
+over the orbit, ``classical_density`` and ``forbidden_tail``, also call
+``period_direct``.  The primitive and uniform forms are renormalized on
+the grid, where the period's 1/T cancels, so they compute no period.
 """
 
 from __future__ import annotations
@@ -24,22 +27,29 @@ from .quantum import MomentumWavefunction, momentum_grid
 from .quantize import quantize_single
 
 
-# A state's orbit and its integrals on the grid p = hbar * momentum_grid: the
-# weight, and the phase S(p) on the orbit or the decay integral off it.  Its
-# arrays are read-only, since ``_level`` hands one record to every caller.
-_State = namedtuple("_State", "E lo hi period on_orbit integral weight")
+# A state's orbit and its integrals at the momenta p, by default the grid
+# p = hbar * momentum_grid: which momenta lie on the orbit, the phase S(p)
+# there or the decay integral elsewhere, and the ``_weight``; ``orb`` is the
+# contour record at E.  The momentum arrays are read-only, since ``_level``
+# hands one record to every caller.
+_State = namedtuple("_State", "E lo hi on_orbit integral weight orb")
 
 
-def _state(params: ModelParams, E):
-    """The record of the state at energy E: one orbit lookup, one period,
-    one phase and one decay quadrature for the whole grid."""
-    lo, hi = _orbit_interval(params, E)
-    p = momentum_grid(params) * params.hbar
-    period = act.period_direct(params, E, lobe="auto")
-    arrays = (*_integrals(params, E, lo, hi, p), _weight(params, E, period, p))
-    for a in arrays:
+def _state(params: ModelParams, E, p=None, orb=None):
+    """The record of the state at energy E: one contour solve (none if
+    ``orb`` is given), one phase and one decay quadrature for all of p,
+    and no period."""
+    orb = act._orbit(params, E) if orb is None else orb
+    lo, hi = _orbit_interval(params, E, orb)
+    p = momentum_grid(params) * params.hbar if p is None else p
+    on_orbit = (lo.p <= p) & (p <= hi.p)
+    integral = np.empty_like(p)
+    integral[on_orbit] = _phase(params, E, lo, p[on_orbit])
+    integral[~on_orbit] = _decay(params, E, orb, lo, hi, p[~on_orbit])
+    weight = _weight(params, orb, p)
+    for a in (on_orbit, integral, weight):
         a.flags.writeable = False
-    return _State(E, lo, hi, period, *arrays)
+    return _State(E, lo, hi, on_orbit, integral, weight, orb)
 
 
 @lru_cache(maxsize=1)
@@ -49,9 +59,10 @@ def _level(params: ModelParams, n):
     return _state(params, quantize_single(params, n))
 
 
-def _orbit_interval(params: ModelParams, E):
-    """The single orbit's momentum range [(p-, branch), (p+, branch)]."""
-    geo = act.turning_points(params, E)
+def _orbit_interval(params: ModelParams, E, orb=None):
+    """The single orbit's momentum range [(p-, branch), (p+, branch)], read
+    from the contour record ``orb`` at E (solved here if not given)."""
+    geo = act._turning_points(params, E, orb)
     if geo.orbit_class == "double_well_pair":
         raise act.GeometryError("two disconnected orbits at this energy; wavefunction "
                                 "forms are defined per single orbit")
@@ -61,12 +72,11 @@ def _orbit_interval(params: ModelParams, E):
     return tps[0], tps[-1]
 
 
-def _weight(params: ModelParams, E, period, p):
-    """1 / (sqrt|B(p)| T) with B the speed bracket and T = ``period`` the
-    period at E, the normalization integral of B^(-1/2) over the allowed range."""
-    bracket = act._speed_bracket(params, E)
+def _weight(params: ModelParams, orb, p):
+    """1 / sqrt|B(p)|, B the speed bracket of the contour record ``orb``:
+    over the period, the classical density."""
     with np.errstate(divide="ignore"):
-        return 1.0 / (np.sqrt(np.abs(bracket(p))) * period)
+        return 1.0 / np.sqrt(np.abs(act._speed_bracket(params, orb)(p)))
 
 
 def _phase(params: ModelParams, E, lo, p):
@@ -83,14 +93,14 @@ def _phase(params: ModelParams, E, lo, p):
     return turning_point_rows(f, lo.p, p, rtol=1e-11)
 
 
-def _decay(params: ModelParams, E, lo, hi, p):
+def _decay(params: ModelParams, E, orb, lo, hi, p):
     """Integral of |Im q| from the orbit to each momentum (zero on it), one
-    quadrature row per forbidden or open record segment on the way.
+    quadrature row per forbidden or open segment of the contour record
+    ``orb`` on the way.
 
     Each segment is cut at the upper minimum's momentum: up to a few ulp
     above that minimum its double root has not split into turning points
     yet, and |Im q| has a kink there inside the forbidden segment."""
-    orb = act._orbit(params, E)
     cut = np.minimum(np.maximum(act._context(params).p_min_upper, orb.a[0]), orb.b[0])
     ends = np.column_stack([orb.a[0], cut, orb.b[0]])
     kind = np.repeat(orb.kind[0], 2)
@@ -102,16 +112,6 @@ def _decay(params: ModelParams, E, lo, hi, p):
         minlength=len(p))
 
 
-def _integrals(params: ModelParams, E, lo, hi, p):
-    """(on_orbit, integral): which momenta lie on the orbit lo..hi, and the
-    phase S(p) there, the decay integral elsewhere."""
-    on_orbit = (lo.p <= p) & (p <= hi.p)
-    integral = np.empty_like(p)
-    integral[on_orbit] = _phase(params, E, lo, p[on_orbit])
-    integral[~on_orbit] = _decay(params, E, lo, hi, p[~on_orbit])
-    return on_orbit, integral
-
-
 def classical_density(params: ModelParams, E, p):
     """Classical momentum distribution w(p) = C / sqrt(bracket), with C
     fixed by unit integral over the classically allowed range.
@@ -119,11 +119,12 @@ def classical_density(params: ModelParams, E, p):
     Diverges at the turning points; that divergence integrates away and
     is cured pointwise by the uniform approximation.
     """
-    lo, hi = _orbit_interval(params, E)
+    orb = act._orbit(params, E)
+    lo, hi = _orbit_interval(params, E, orb)
     p, shaped = act._rows(p)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return shaped(_weight(params, E, act.period_direct(params, E, lobe="auto"), p))
+    return shaped(_weight(params, orb, p) / act.period_direct(params, E, lobe="auto"))
 
 
 def action_phase(params: ModelParams, E, p):
@@ -141,10 +142,11 @@ def action_phase(params: ModelParams, E, p):
 def forbidden_tail(params: ModelParams, E, p):
     """|Psi|^2 in the classically forbidden region: half the (modulus of
     the) classical weight damped by twice the imaginary action."""
-    lo, hi = _orbit_interval(params, E)
+    orb = act._orbit(params, E)
+    lo, hi = _orbit_interval(params, E, orb)
     p, shaped = act._rows(p)
-    decay = _decay(params, E, lo, hi, p)
-    weight = _weight(params, E, act.period_direct(params, E, lobe="auto"), p)
+    decay = _decay(params, E, orb, lo, hi, p)
+    weight = _weight(params, orb, p) / act.period_direct(params, E, lobe="auto")
     return shaped(0.5 * weight * np.exp(-2.0 * decay / params.hbar))
 
 
@@ -178,26 +180,13 @@ def _hermite_weight(n, xi):
         return np.exp(2.0 * (log_scale + np.log(np.abs(f))))
 
 
-def _ho_phase(xi, xi0):
-    """Harmonic-oscillator phase integral from -xi0 to xi (allowed side)."""
-    return 0.5 * xi * np.sqrt(np.maximum(xi0**2 - xi**2, 0.0)) + \
-        0.5 * xi0**2 * (0.5 * np.pi + np.arcsin(np.clip(xi / xi0, -1.0, 1.0)))
-
-
-def _ho_decay(xi, xi0):
-    """Forbidden-side phase integral from xi0 to xi > xi0."""
-    return 0.5 * xi * np.sqrt(np.maximum(xi**2 - xi0**2, 0.0)) - \
-        0.5 * xi0**2 * np.arccosh(np.maximum(xi / xi0, 1.0))
-
-
 def oscillator_coordinate(params: ModelParams, n, E, p):
     """Map a momentum to the harmonic-oscillator coordinate xi by
     matching accumulated phase; |xi| <= xi0 = sqrt(2n+1) on the allowed
     interval, continued through the decay integral outside it."""
-    lo, hi = _orbit_interval(params, E)
     p, shaped = act._rows(p)
-    on_orbit, integral = _integrals(params, E, lo, hi, p)
-    return shaped(_oscillator_xi(n, on_orbit, integral / params.hbar, p < lo.p))
+    st = _state(params, E, p)
+    return shaped(_oscillator_xi(n, st.on_orbit, st.integral / params.hbar, p < st.lo.p))
 
 
 # x - sin x, sinh x - x = x^3 sum_k (-+x^2)^k / (2k+3)!, to 5e-17 by k = 7 below x = 1.
@@ -252,14 +241,14 @@ def uniform_wavefunction(params: ModelParams, n, E=None) -> MomentumWavefunction
     on_orbit, integral, weight = st.on_orbit, st.integral, st.weight
     # Nudge off a turning point, where weight and envelope separately
     # blow up / vanish; the product stays finite either side.  Only the
-    # nudged momenta are integrated afresh.
+    # nudged momenta are integrated afresh, on the state's contour record.
     d_lo, d_hi = np.abs(p - lo.p), np.abs(p - hi.p)
     near = np.minimum(d_lo, d_hi) < 1e-9 * params.p_max
     if near.any():
         p = np.where(near, p + 1e-6 * params.p_max * np.where(d_lo < d_hi, 1.0, -1.0), p)
+        fresh = _state(params, st.E, p[near], st.orb)
         on_orbit, integral, weight = on_orbit.copy(), integral.copy(), weight.copy()
-        on_orbit[near], integral[near] = _integrals(params, st.E, lo, hi, p[near])
-        weight[near] = _weight(params, st.E, st.period, p[near])
+        on_orbit[near], integral[near], weight[near] = fresh.on_orbit, fresh.integral, fresh.weight
     xi = _oscillator_xi(n, on_orbit, integral / params.hbar, p < lo.p)
     envelope = np.abs(weight * np.sqrt(np.abs(2.0 * n + 1.0 - xi * xi)))
     vals = envelope * _hermite_weight(n, xi)

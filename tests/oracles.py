@@ -5,8 +5,8 @@ The closed-form Ferrari/Cardano solvers cross-check the companion-matrix
 time integral `period_direct`; the guarded Sturm recurrence is what the
 IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit; the
 full 2x2 Hessian checks `fixed_points`, which reads only its diagonal;
-a 40-digit bisection on the arcsine and arccosh forms of the oscillator
-integrals checks `wavefun`'s Kepler-form inversion of them.
+the arcsine and arccosh forms of the oscillator integrals, and a 40-digit
+bisection on them, check `wavefun`'s Kepler-form inversion of them.
 """
 
 import mpmath
@@ -117,9 +117,21 @@ def period_fd(params, E, lobe="auto"):
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
 
 
+def ho_phase(xi, xi0):
+    """Harmonic-oscillator phase integral from -xi0 to xi (allowed side)."""
+    return 0.5 * xi * np.sqrt(np.maximum(xi0**2 - xi**2, 0.0)) + \
+        0.5 * xi0**2 * (0.5 * np.pi + np.arcsin(np.clip(xi / xi0, -1.0, 1.0)))
+
+
+def ho_decay(xi, xi0):
+    """Forbidden-side phase integral from xi0 to xi > xi0."""
+    return 0.5 * xi * np.sqrt(np.maximum(xi**2 - xi0**2, 0.0)) - \
+        0.5 * xi0**2 * np.arccosh(np.maximum(xi / xi0, 1.0))
+
+
 def oscillator_inverse(t, n, forbidden=False):
-    """The xi, as a float, whose ``wavefun._ho_phase(xi, xi0)`` is t, or,
-    ``forbidden``, the xi >= xi0 whose ``_ho_decay(xi, xi0)`` is t, with
+    """The xi, as a float, whose ``ho_phase(xi, xi0)`` is t, or,
+    ``forbidden``, the xi >= xi0 whose ``ho_decay(xi, xi0)`` is t, with
     xi0 = sqrt(2n+1): 140 halvings at 40 digits of a bracket on the closed
     forms in xi itself, so it shares no step with the inversion in Kepler
     form.  A phase past the top of the orbit is clamped to it."""

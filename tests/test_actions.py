@@ -248,14 +248,11 @@ def test_batch_contour_equals_one_row_contours():
     for params in (SUPER21, BENCH_SETS[1], LINEAR, ModelParams(N=20, eps=0.5, v=1.0, g=-3.0 / 21.0)):
         e_min, e_max = act.classical_range(params)
         es = np.linspace(e_min, e_max, 41)
-        act._orbit.cache_clear()
         batch = act._orbit(params, es)
         for i, e in enumerate(es):
-            act._orbit.cache_clear()
             one = act._orbit(params, e)
             for x, y in zip(batch, one):
                 assert np.array_equal(x[i], y[0], equal_nan=True)
-    act._orbit.cache_clear()
 
 
 def _component_areas(params, E):
@@ -316,9 +313,9 @@ def test_period_on_an_array_equals_scalar_calls():
 
 
 def test_one_quartic_solve_per_energy(monkeypatch):
-    # Every quantity at one energy reads the same solve of the turning
-    # quartic; the memo is keyed on the parameters as well as on E.  A
-    # solve is one row of the batched solver.
+    # Every quantity at one energy reads one solve of the turning quartic,
+    # which it hands to every helper.  A solve is one row of the batched
+    # solver.
     from bosesemi import quantize
     from bosesemi import wavefun as wf
 
@@ -326,7 +323,6 @@ def test_one_quartic_solve_per_energy(monkeypatch):
     monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
 
     def solves(fn, *args):
-        act._orbit.cache_clear()
         rows.clear()
         out = fn(*args)
         return sum(rows), out
@@ -338,21 +334,15 @@ def test_one_quartic_solve_per_energy(monkeypatch):
     assert solves(act.period_direct, sym, E)[0] == 1
     assert solves(wf.primitive_wavefunction, sym, 2, E)[0] == 1
     assert solves(wf.uniform_wavefunction, sym, 2, E)[0] == 1
-
-    other = ModelParams(N=20, eps=0.2, v=1.0, g=-1.0 / 7.0)
-    act._orbit.cache_clear()
-    rows.clear()
-    both = [act.action(params, -55.0, lobe="left") for params in (SUPER21, other)]
-    assert sum(rows) == 2
-    assert both == [solves(act.action, params, -55.0, "left")[1] for params in (SUPER21, other)]
     assert act.action(sym, np.array(E)) == act.action(sym, E)
 
 
 def test_orbit_cache_is_safe_across_threads():
-    # Two threads on different parameters share the one-batch contour
-    # cache; a thread switch between its lookup and its use must not hand
-    # one thread the other's contour.  Switching every microsecond makes
-    # such an interleaving likely within 3,000 calls each.
+    # Two threads on different parameters share the landmark cache
+    # (``_context``) and the quadrature rules (``quad._rule``); a thread
+    # switch between a lookup and its use must not hand one thread the
+    # other's values.  Switching every microsecond makes such an
+    # interleaving likely within 3,000 calls each.
     sets = [(p, np.linspace(*act.classical_range(p), 32)[1:-1])
             for p in (SUPER21, BENCH_SETS[2])]
     serial = [[act.action(p, e, lobe="total") for e in es] for p, es in sets]

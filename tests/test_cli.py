@@ -225,6 +225,20 @@ def test_wavefunction_primitive_on_the_upper_minimum(capsys):
     assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_wavefunction_primitive_on_a_thin_orbit(capsys):
+    # At eps = 1e6 the ground orbit is about 1e-6 of the momentum range
+    # wide, where the period's quadrature does not converge; the primitive
+    # form needs no period, so its column is printed.
+    code, out, err = run_cli(capsys, "wavefunction", "--particles", "5",
+                             "--epsilon", "1e6", "--state", "0")
+    assert code == 0
+    assert "primitive form unavailable" not in err
+    _, rows = parse_csv(out)
+    primitive = [float(r[2]) for r in rows]
+    assert np.all(np.isfinite(primitive))
+    assert sum(primitive) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_wavefunction_quantizes_the_level_once(capsys, monkeypatch):
     # Both semiclassical forms are built at one quantized energy.
     from bosesemi import cli, quantize, wavefun

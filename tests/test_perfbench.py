@@ -40,14 +40,13 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         assert all(vars(mod)[name] is val for name, val in attrs.items())
 
 
-def test_tracer_counts_quartic_solves_behind_the_orbit_memo(monkeypatch):
-    # The memo wrapper itself is not traced; the batched solve inside it
-    # is, because it looks quartic_rows up in the actions module's
-    # globals.  A solve is one row of that call.
+def test_tracer_counts_every_quartic_solve(monkeypatch):
+    # The batched solve is traced, because actions looks quartic_rows up
+    # in its module globals.  A solve is one row of that call, and each of
+    # the two public calls solves its own contour.
     spans = _load_spans()
     params = bosesemi.ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
     bosesemi.barrier(params)  # fixed points cached before tracing
-    bosesemi.actions._orbit.cache_clear()
     real, rows = bosesemi.roots.quartic_rows, []
 
     @functools.wraps(real)
@@ -65,8 +64,8 @@ def test_tracer_counts_quartic_solves_behind_the_orbit_memo(monkeypatch):
     finally:
         tracer.uninstall()
     assert err is None
-    assert sum(rows) == 1
-    assert tracer.calls_by_name[("roots", "quartic_rows")] == 1
+    assert sum(rows) == 2
+    assert tracer.calls_by_name[("roots", "quartic_rows")] == sum(rows)
 
 
 def test_double_well_spectrum_is_one_quantize_double_call():

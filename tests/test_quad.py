@@ -197,9 +197,7 @@ def test_batched_condition_equals_per_energy_calls():
     # Output must not depend on how energies are grouped into batches.
     grid, (psi, alpha) = qz._phase_grid(SUPER21, act.barrier(SUPER21))
     picks = grid[::7]
-    act._orbit.cache_clear()
     single = np.array([qz._dw_eval(SUPER21, e) for e in picks])
-    act._orbit.cache_clear()
     batch = np.array(qz._dw_eval(SUPER21, picks)).T
     assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
     assert np.allclose(np.column_stack([psi, alpha])[::7], single, rtol=1e-14, atol=0.0)
@@ -217,7 +215,6 @@ def test_grid_pass_memory_is_bounded():
                        16 * (p.N + 1) + 15)
     assert len(grid) > 1300
     qz._dw_eval(p, grid)  # node tables and fixed points built first
-    act._orbit.cache_clear()
     tracemalloc.start()
     try:
         qz._dw_eval(p, grid)

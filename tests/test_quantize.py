@@ -16,7 +16,7 @@ from bosesemi.quantize import (
     sweep_epsilon,
 )
 from bosesemi.quantum import exact_spectrum
-from bosesemi.wavefun import _ho_decay
+from oracles import ho_decay
 from reference_data import semiclassical_column
 
 TABLE_PARAMS = {eps: ModelParams(N=20, eps=eps, v=1.0, g=-3.0 / 21.0)
@@ -147,7 +147,6 @@ def test_condition_reads_one_contour_record(monkeypatch):
     monkeypatch.setattr(act, "quartic_rows", lambda c: solves.append(len(c)) or real_solve(c))
     monkeypatch.setattr(act, "turning_point_rows",
                         lambda *a, **k: quads.append(1) or real_quad(*a, **k))
-    act._orbit.cache_clear()
     psi, alpha = quantize._dw_eval(params, E)
     assert solves == [41]
     assert len(quads) == 2
@@ -163,7 +162,6 @@ def test_integrand_point_budget(monkeypatch):
     real = act.turning_point_rows
     monkeypatch.setattr(act, "turning_point_rows", lambda f, *a, **k: real(
         lambda r, p: points.append(p.size) or f(r, p), *a, **k))
-    act._orbit.cache_clear()
     semiclassical_spectrum(TABLE_PARAMS[0.5])
     assert sum(points) <= 143_104 // 2
 
@@ -175,10 +173,8 @@ def test_level_refinement_budget(monkeypatch):
     # one-ulp minimal step).
     real, rows = act.quartic_rows, []
     monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
-    act._orbit.cache_clear()
     quantize_single(ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 2)
     assert sum(rows) <= 15
-    act._orbit.cache_clear()
     rows.clear()
     spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
     assert sum(rows) <= 25 * len(spec)
@@ -218,10 +214,10 @@ def test_refiner_endgame_takes_the_minimal_step():
     # step one ulp inside closes the bracket, where the midpoint fallback
     # halved the other end down to adjacent floats (45 evaluations here).
     x = []
-    root, resid = _bisect(lambda e, _: x.append(e) or _ho_decay(e, 1.0) - 0.1,
+    root, resid = _bisect(lambda e, _: x.append(e) or ho_decay(e, 1.0) - 0.1,
                           1.0, 2.0 + np.sqrt(0.2))
     assert len(x) <= 15
-    assert resid == abs(_ho_decay(root, 1.0) - 0.1) <= 1e-15
+    assert resid == abs(ho_decay(root, 1.0) - 0.1) <= 1e-15
     assert np.nextafter(root, 0.0) in x or np.nextafter(root, 3.0) in x
 
 

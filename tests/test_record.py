@@ -49,6 +49,28 @@ def test_bound_flags_a_median_worse_by_more_than_the_bound():
     assert not beyond(10.0, 5.0, "lower", 0.25)
 
 
+def test_paired_bound_reads_the_median_per_seed_ratio(monkeypatch):
+    # BENCH_second_cut.json's dw-spectra runs: head drew more slow runs
+    # than base, so head's median ops_per_s is 30 % below base's, but the
+    # median per-seed ratio is 0.98.
+    record = _load_record()
+    doc = json.loads((RECORD.parents[1] / "BENCH_second_cut.json").read_text())
+    runs = {(r["side"], r["seed"]): r for r in doc["workloads"]["dw-spectra"]["runs"]}
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        r = runs["base" if checkout == "BASE" else "head", seed]
+        return {"correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"],
+                "metrics": {k: {"value": v} for k, v in r["metrics"].items()}}
+
+    monkeypatch.setattr(record, "_run", run)
+    bench = {"workloads": [{"name": "dw-spectra"}], "run_seconds": 10,
+             "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
+                             "bound": 0.25}]}
+    m = record.record("BASE", bench, doc["seeds"])["dw-spectra"]["metrics"]["ops_per_s"]
+    assert m["beyond_bound"] and not m["beyond_bound_paired"]
+    assert m["ratio_median"] == pytest.approx(0.984, abs=1e-3)
+
+
 def test_record_sums_failed_operations_and_checks_each_bound(monkeypatch):
     record = _load_record()
     fake = {"base": (10.0, 2), "head": (7.0, 0)}  # ops_per_s and failed per run

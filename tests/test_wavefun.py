@@ -13,7 +13,7 @@ from bosesemi import wavefun as wf
 from bosesemi.model import ModelParams
 from bosesemi.quantize import quantize_single, semiclassical_spectrum
 from bosesemi.quantum import exact_spectrum, momentum_representation
-from oracles import oscillator_inverse
+from oracles import ho_phase, oscillator_inverse
 
 BIASED14 = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
 SYM14 = ModelParams(N=14, eps=0.0, v=1.0, g=-0.9 / 15.0)
@@ -182,18 +182,17 @@ def test_oscillator_coordinate_special_points():
     # Round trip through the phase map.
     for p in np.linspace(lo.p + 0.3, hi.p - 0.3, 7):
         xi = wf.oscillator_coordinate(SYM14, n, E, p)
-        assert wf._ho_phase(xi, xi0) == pytest.approx(
+        assert ho_phase(xi, xi0) == pytest.approx(
             wf.action_phase(SYM14, E, p) / SYM14.hbar, abs=1e-9)
 
 
 def _oracle_xi(params, n, E, p):
     """(xi, on_orbit): ``oscillator_inverse`` at the phase or decay
     integrals the library finds at momenta p, negative below the orbit."""
-    lo, hi = wf._orbit_interval(params, E)
-    on_orbit, integral = wf._integrals(params, E, lo, hi, p)
+    st = wf._state(params, E, p)
     ref = np.array([oscillator_inverse(t / params.hbar, n, forbidden=not on)
-                    for t, on in zip(integral, on_orbit)])
-    return np.where(p < lo.p, -ref, ref), on_orbit
+                    for t, on in zip(st.integral, st.on_orbit)])
+    return np.where(p < st.lo.p, -ref, ref), st.on_orbit
 
 
 @pytest.mark.parametrize("params,n", STATES)
@@ -235,16 +234,19 @@ def test_oscillator_map_ends(n):
 
 
 def test_one_orbit_lookup_per_state(monkeypatch):
-    # Each builder finds the orbit at a given energy once and hands it to
-    # every helper it calls.
+    # Each builder solves the contour at a given energy once, and reads its
+    # turning points from that record once.
     params, n = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 3
     E = quantize_single(params, n)
-    real, calls = act.turning_points, []
-    monkeypatch.setattr(act, "turning_points", lambda *a: calls.append(1) or real(*a))
+    calls = Counter()
+    for name in ("_orbit", "_turning_points"):
+        real = getattr(act, name)
+        monkeypatch.setattr(act, name, lambda *a, _f=real, _n=name:
+                            calls.update([_n]) or _f(*a))
     for build in (wf.primitive_wavefunction, wf.uniform_wavefunction):
         calls.clear()
         build(params, n, E)
-        assert len(calls) == 1
+        assert calls == {"_orbit": 1, "_turning_points": 1}
 
 
 def test_both_forms_share_one_level_solve(monkeypatch):
@@ -263,27 +265,42 @@ def test_both_forms_share_one_level_solve(monkeypatch):
 
 
 def test_both_forms_share_one_state_record(monkeypatch):
-    # Built without an energy, the two forms of a state share one orbit
-    # lookup, one period and one phase and one decay quadrature over the
-    # grid; another state or other parameters compute their own.  No grid
-    # momentum here lies within 1e-9 p_max of a turning point, so the
-    # uniform form nudges none and integrates nothing afresh.
+    # Built without an energy, the two forms of a state share one contour
+    # solve and one phase and one decay quadrature over the grid, and
+    # compute no period; another state or other parameters compute their
+    # own.  No grid momentum here lies within 1e-9 p_max of a turning
+    # point, so the uniform form nudges none and integrates nothing afresh.
+    states = [(BIASED100, 2), (BIASED100, 3), (SYM14, 3)]
+    levels = {state: quantize_single(*state) for state in states}
+    monkeypatch.setattr(wf, "quantize_single", lambda *a: levels[a])
     counts = Counter()
-    for mod, name in ((act, "turning_points"), (act, "period_direct"),
+    for mod, name in ((act, "quartic_rows"), (act, "period_direct"),
                       (wf, "_phase"), (wf, "_decay")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **kw:
                             counts.update([_n]) or _f(*a, **kw))
-    names = {"turning_points", "period_direct", "_phase", "_decay"}
     wf._level.cache_clear()
-    for k, (params, n) in enumerate([(BIASED100, 2), (BIASED100, 3), (SYM14, 3)], start=1):
+    for k, (params, n) in enumerate(states, start=1):
         prim, uni = wf.primitive_wavefunction(params, n), wf.uniform_wavefunction(params, n)
-        assert counts == dict.fromkeys(names, k)
+        assert counts == {"quartic_rows": k, "_phase": k, "_decay": k}
+        assert counts["period_direct"] == 0
         assert prim.energy == uni.energy == wf._level(params, n).E
     record = wf._level(SYM14, 3)
     for values in (record.on_orbit, record.integral, record.weight):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = values[1]
+
+
+def test_forms_need_no_period(monkeypatch):
+    # Both forms are normalised on the grid, so neither computes a period.
+    def fail(*a, **kw):
+        raise AssertionError("period_direct called")
+
+    monkeypatch.setattr(act, "period_direct", fail)
+    for params, n in STATES[:3]:
+        E = quantize_single(params, n)
+        for build in (wf.primitive_wavefunction, wf.uniform_wavefunction):
+            assert build(params, n, E).values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniform_nudges_a_grid_momentum_off_a_turning_point(monkeypatch):
@@ -295,13 +312,14 @@ def test_uniform_nudges_a_grid_momentum_off_a_turning_point(monkeypatch):
     E = float(momentum_potentials(BIASED14, p_grid[1])[0])
     record = wf._state(BIASED14, E)
     assert abs(record.lo.p - p_grid[1]) < 1e-9 * BIASED14.p_max
-    kept = [a.copy() for a in record[4:]]
-    rows, real = [], wf._phase
+    kept = [a.copy() for a in record[3:6]]
+    rows, solves, real, state = [], [], wf._phase, wf._state
     monkeypatch.setattr(wf, "_phase", lambda *a: rows.append(len(a[-1])) or real(*a))
-    monkeypatch.setattr(wf, "_state", lambda *a: record)
+    monkeypatch.setattr(act, "_orbit", lambda *a: solves.append(a))
+    monkeypatch.setattr(wf, "_state", lambda *a: record if len(a) == 2 else state(*a))
     uni = wf.uniform_wavefunction(BIASED14, 0, E)
-    assert rows == [1]
-    assert all(np.array_equal(a, b) for a, b in zip(record[4:], kept))
+    assert rows == [1] and solves == []
+    assert all(np.array_equal(a, b) for a, b in zip(record[3:6], kept))
     assert np.all(np.isfinite(uni.values)) and np.all(uni.values >= 0)
     assert 0.0 < uni.values[1] < 3.0 * max(uni.values[0], uni.values[2])
 
@@ -342,8 +360,9 @@ def test_level_cache_is_safe_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     for got, want in zip(results, serial):
-        assert got and all(r[:4] == want[:4] and all(
-            np.array_equal(a, b) for a, b in zip(r[4:], want[4:])) for r in got)
+        assert got and all(r[:3] == want[:3] and all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(r[3:6] + r.orb, want[3:6] + want.orb)) for r in got)
     info = wf._level.cache_info()
     assert info.misses > len(states) and info.hits > 0
 
