@@ -11,8 +11,8 @@ integral split at the turning points.
 The energy-dependent functions take a scalar energy or a 1-D array of
 energies.  An array is one batch: its turning quartics are solved
 together and its contours are held as fixed-shape arrays (``_orbit``),
-every consumer picks segments by masks, and all the segments it needs
-go into one row-wise quadrature; a scalar is a one-row batch.
+every consumer picks segments by masks, and each quadrature takes all
+the segments it needs as rows of one call; a scalar is a one-row batch.
 """
 
 from __future__ import annotations
@@ -217,29 +217,21 @@ def _ncomp(orb: _Contour):
     return owned.any(axis=1).sum(axis=1)
 
 
-def _speed_bracket(params: ModelParams, orb: _Contour):
-    """Factored evaluator of B(p) = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2+u^2)/2)^2.
+def _speed_bracket(params: ModelParams, orb: _Contour, p):
+    """B(p) = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2+u^2)/2)^2 of the
+    contour record ``orb``'s first row at the momenta p.
 
     B is minus the turning-point quartic, so evaluating it as a product
     over the quartic's roots avoids the catastrophic cancellation of the
     closed form near turning points (|dH/dq| = 2 sqrt(B) there), which
-    matters for large particle numbers.  ``bracket(p, rows)`` evaluates
-    the B of the contour record ``orb``'s row ``rows[j]`` at the points
-    ``p[j]``; ``bracket(p)`` that of its first row.
+    matters for large particle numbers.
     """
-    ns2 = params.Ns ** 2
-
-    def bracket(p, rows=0):
-        rows = np.asarray(rows)[..., None] if np.ndim(rows) else rows
-        s = np.asarray(p) / (params.hbar * params.Ns)
-        q = np.empty(np.shape(s), dtype=complex)
-        q[...] = orb.lead[rows]
-        # A missing (NaN) root is a factor of one.
-        for root in orb.roots.T:
-            q = q * np.where(np.isnan(root[rows]), 1.0, s - root[rows])
-        return -ns2 * q.real
-
-    return bracket
+    s = np.asarray(p) / (params.hbar * params.Ns)
+    q = np.full(np.shape(s), orb.lead[0], dtype=complex)
+    # A missing (NaN) root is a factor of one.
+    for root in orb.roots[0]:
+        q = q * np.where(np.isnan(root), 1.0, s - root)
+    return -params.Ns ** 2 * q.real
 
 
 def _upper_empty(info: BarrierInfo, E, orb: _Contour):
@@ -378,32 +370,60 @@ def action(params: ModelParams, E, lobe="auto"):
 
 
 def period_direct(params: ModelParams, E, lobe="auto"):
-    """Orbit period from the time integral T = hbar * \\int du / sqrt(B)
-    with B = v^2 (Ns^2 - u^2) - (E - eps u - g(Ns^2 + u^2)/2)^2 over the
-    orbit's allowed momentum range, a float for a scalar E and an array
-    for an array of energies.  ``lobe="total"`` sums every component, so
-    it is dS/dE of ``action(lobe="total")``; ``"auto"`` needs a contour of
-    one component, ``"left"`` and ``"right"`` one of exactly two; any
-    other contour raises ``GeometryError``.  The period diverges on the
-    separatrix: within 1e-9 energy scales of the barrier top a scalar E
-    raises ``SeparatrixError`` and an array gets inf; a single well's
-    barrier lies at +inf, so none of its energies is near it."""
+    """Orbit period T = hbar * \\int du / sqrt(B) with B = v^2 (Ns^2 - u^2)
+    - (E - eps u - g(Ns^2 + u^2)/2)^2 over the orbit's allowed momentum
+    range, in closed form (``_period``), a float for a scalar E and an
+    array for an array of energies.  ``lobe="total"`` sums every
+    component, so it is dS/dE of ``action(lobe="total")``; ``"auto"``
+    needs a contour of one component, ``"left"`` and ``"right"`` one of
+    exactly two; any other contour raises ``GeometryError``.  The period
+    diverges on the separatrix: within 1e-9 energy scales of the barrier
+    top a scalar E raises ``SeparatrixError`` and an array gets inf; a
+    single well's barrier lies at +inf, so none of its energies is near it."""
     Er, shaped = _rows(E)
     sep = np.abs(Er - _context(params).e_barr) < 1e-9 * params.energy_scale()
     if np.ndim(E) == 0 and sep[0]:
         raise SeparatrixError("period diverges on the separatrix")
-    orb = _orbit(params, Er[~sep])
-    a, b, kind = _lobe(params, orb, lobe)
-    allowed = kind == _ALLOWED
-    if not allowed.any(axis=1).all():
-        raise GeometryError("no classically allowed momenta at this energy")
-    owner = np.nonzero(allowed)[0]
-    bracket = _speed_bracket(params, orb)
     out = np.full(len(Er), np.inf)
-    out[~sep] = np.bincount(owner, turning_point_rows(
-        lambda r, p: 1.0 / np.sqrt(np.maximum(bracket(p, owner[r]), 1e-300)),
-        a[allowed], b[allowed], rtol=1e-11), minlength=len(kind))
+    out[~sep] = _period(params, _orbit(params, Er[~sep]), lobe)
     return shaped(out)
+
+
+def _agm(x, y):
+    """The arithmetic-geometric mean, by 24 steps for every element alike."""
+    for _ in range(24):
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+    return x
+
+
+def _period(params: ModelParams, orb: _Contour, lobe):
+    """The period of each contour's ``lobe`` (see ``_lobe``): the number of
+    allowed segments it covers times pi hbar / AGM(sqrt(A B), sqrt((A+B)^2
+    - k (b-a)^2)/2), the complete elliptic integral over an allowed segment
+    [a, b] in s = p/(hbar*Ns) (Byrd and Friedman 1971, 254.00 and 259.00;
+    DLMF 19.8).  A^2 and B^2 are |lead| times the product of the other
+    roots' distances to a and to b, and k is |lead| on a quartic row and 0
+    on a lower degree.  The real cycles are homologous, so a row's allowed
+    segments share the value of its first; the width enters only through
+    k (b-a)^2, so a thin orbit loses nothing."""
+    a, b, kind = _lobe(params, orb, lobe)
+    # A segment that the cut at the barrier splits counts once.
+    count = ((kind == _ALLOWED) & (b > a)).reshape(len(kind), -1, 5).any(axis=1).sum(axis=1)
+    if not count.all():
+        raise GeometryError("no classically allowed momenta at this energy")
+    rows = np.arange(len(kind))
+    seg = np.argmax(orb.kind == _ALLOWED, axis=1)
+    ends = np.stack([orb.a[rows, seg], orb.b[rows, seg]]) / (params.hbar * params.Ns)
+    # Each end's own root is the nearest one not already taken; a NaN
+    # root is a factor of one.
+    taken = np.isnan(orb.roots)
+    for x in ends:
+        taken[rows, np.argmin(np.where(taken, np.inf, np.abs(x[:, None] - orb.roots)), axis=1)] = True
+    A, B = (np.sqrt(np.abs(orb.lead * np.prod(np.where(taken, 1.0, x[:, None] - orb.roots), axis=1)))
+            for x in ends)
+    k = np.where(np.isnan(orb.roots[:, -1]), 0.0, np.abs(orb.lead))
+    mean = _agm(np.sqrt(A * B), 0.5 * np.sqrt((A + B) ** 2 - k * (ends[1] - ends[0]) ** 2))
+    return count * (np.pi * params.hbar / mean)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ p = -N, -N+2, ..., N and renormalized to unit sum there.
 
 The momentum functions take a scalar (returning a float) or an array of
 momenta, and solve the contour at E once per call; the two normalised
-over the orbit, ``classical_density`` and ``forbidden_tail``, also call
-``period_direct``.  The primitive and uniform forms are renormalized on
+over the orbit, ``classical_density`` and ``forbidden_tail``, also read
+the period from it.  The primitive and uniform forms are renormalized on
 the grid, where the period's 1/T cancels, so they compute no period.
 """
 
@@ -76,7 +76,7 @@ def _weight(params: ModelParams, orb, p):
     """1 / sqrt|B(p)|, B the speed bracket of the contour record ``orb``:
     over the period, the classical density."""
     with np.errstate(divide="ignore"):
-        return 1.0 / np.sqrt(np.abs(act._speed_bracket(params, orb)(p)))
+        return 1.0 / np.sqrt(np.abs(act._speed_bracket(params, orb, p)))
 
 
 def _phase(params: ModelParams, E, lo, p):
@@ -124,7 +124,7 @@ def classical_density(params: ModelParams, E, p):
     p, shaped = act._rows(p)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return shaped(_weight(params, orb, p) / act.period_direct(params, E, lobe="auto"))
+    return shaped(_weight(params, orb, p) / act._period(params, orb, "auto"))
 
 
 def action_phase(params: ModelParams, E, p):
@@ -146,7 +146,7 @@ def forbidden_tail(params: ModelParams, E, p):
     lo, hi = _orbit_interval(params, E, orb)
     p, shaped = act._rows(p)
     decay = _decay(params, E, orb, lo, hi, p)
-    weight = _weight(params, orb, p) / act.period_direct(params, E, lobe="auto")
+    weight = _weight(params, orb, p) / act._period(params, orb, "auto")
     return shaped(0.5 * weight * np.exp(-2.0 * decay / params.hbar))
 
 

@@ -1,8 +1,9 @@
 """Independent reference routes that the production code is checked against.
 
 The closed-form Ferrari/Cardano solvers cross-check the companion-matrix
-`quartic_roots`; the finite-difference period dS/dE cross-checks the
-time integral `period_direct`; the guarded Sturm recurrence is what the
+`quartic_roots`; the finite-difference period dS/dE and a 50-digit
+quadrature of the time integral (`period_mp`) check the closed-form
+`period_direct`; the guarded Sturm recurrence is what the
 IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit; the
 full 2x2 Hessian checks `fixed_points`, which reads only its diagonal;
 the arcsine and arccosh forms of the oscillator integrals, and a 40-digit
@@ -115,6 +116,36 @@ def period_fd(params, E, lobe="auto"):
         return (act.action(params, E + hh, lobe=lobe) - act.action(params, E - hh, lobe=lobe)) / (2.0 * hh)
 
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
+
+
+def period_mp(params, E, dps=50):
+    """The period summed over every allowed segment of the contour at E, as
+    a float: hbar times the integral of ds / sqrt(-P(s)), P the turning
+    quartic in s = p/(hbar*Ns), at ``dps`` digits.  The coefficients are
+    exact in the float inputs, the roots come from ``mpmath.polyroots``
+    (a zero leading coefficient dropped), and each segment [a, b] between
+    adjacent real roots where -P > 0 is mapped by s = a + (b-a) sin^2 t,
+    which leaves the smooth integrand 2 / sqrt|lead * prod(s - r)| over
+    the other roots r on [0, pi/2]; no step is shared with the AGM."""
+    with mpmath.workdps(dps):
+        ns, v, eps = mpmath.mpf(params.Ns), mpmath.mpf(params.v), mpmath.mpf(params.eps)
+        G = mpmath.mpf(params.g) * ns
+        A = mpmath.mpf(E) / ns - G / 2
+        coeffs = [G * G / 4, eps * G, eps * eps - A * G + v * v, -2 * A * eps, A * A - v * v]
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps)
+        real = sorted((mpmath.re(r), i) for i, r in enumerate(roots)
+                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** (-dps // 2))
+        total = 0
+        for (a, i), (b, j) in zip(real, real[1:]):
+            if mpmath.polyval(coeffs, (a + b) / 2) >= 0:
+                continue
+            others = [r for n, r in enumerate(roots) if n not in (i, j)]
+            f = lambda t: 2 / mpmath.sqrt(abs(coeffs[0] * mpmath.fprod(
+                [a + (b - a) * mpmath.sin(t) ** 2 - r for r in others])))
+            total += mpmath.quad(f, [0, mpmath.pi / 2])
+        return float(mpmath.mpf(params.hbar) * total)
 
 
 def ho_phase(xi, xi0):

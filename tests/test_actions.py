@@ -7,11 +7,14 @@ import pytest
 from bosesemi import actions as act
 from bosesemi import meanfield as mf
 from bosesemi.model import ModelParams
-from bosesemi.quad import QuadratureError
-from oracles import hessian, period_fd
+from oracles import hessian, period_fd, period_mp
 
 SUPER21 = ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
 LINEAR = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
+# The turning quartic's leading coefficient is negligible here (a cubic
+# row) or zero (a quadratic row).
+CUBIC = ModelParams(N=20, eps=0.5, v=1.0, g=-2.1e-8 / 21)
+QUADRATIC = ModelParams(N=20, eps=0.5, v=1.0, g=0.0)
 
 BENCH_SETS = [
     ModelParams(N=10, eps=0.4, v=1.0, g=-0.5 / 11.0),
@@ -300,12 +303,16 @@ def test_period_on_an_array_equals_scalar_calls():
     assert np.isinf(t[1]) and np.all(np.isfinite(t[[0, 2]]))
     assert t[0] == act.period_direct(SUPER21, es[0], lobe="total")
     # A single well's barrier lies at +inf: no energy is on a separatrix.
-    single = ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0)
-    es = np.linspace(*act.classical_range(single), 9)[1:-1]
-    for lobe in ("auto", "total"):
-        batch = act.period_direct(single, es, lobe=lobe)
-        assert np.all(np.isfinite(batch))
-        assert np.array_equal(batch, [act.period_direct(single, e, lobe=lobe) for e in es])
+    # The solver drops the quartic's negligible leading coefficient at
+    # g*Ns = -2.1e-8, leaving a cubic row, and the cubic's too at g = 0.
+    for single, missing in ((ModelParams(N=14, eps=0.6, v=1.0, g=-0.6 / 15.0), 0),
+                            (CUBIC, 1), (QUADRATIC, 2)):
+        es = np.linspace(*act.classical_range(single), 9)[1:-1]
+        assert np.all(np.isnan(act._orbit(single, es).roots).sum(axis=1) == missing)
+        for lobe in ("auto", "total"):
+            batch = act.period_direct(single, es, lobe=lobe)
+            assert np.all(np.isfinite(batch))
+            assert np.array_equal(batch, [act.period_direct(single, e, lobe=lobe) for e in es])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +339,8 @@ def test_one_quartic_solve_per_energy(monkeypatch):
     sym = BENCH_SETS[3]
     E = quantize.quantize_single(sym, 2)
     assert solves(act.period_direct, sym, E)[0] == 1
+    assert solves(wf.classical_density, sym, E, 0.0)[0] == 1
+    assert solves(wf.forbidden_tail, sym, E, 0.9 * sym.p_max)[0] == 1
     assert solves(wf.primitive_wavefunction, sym, 2, E)[0] == 1
     assert solves(wf.uniform_wavefunction, sym, 2, E)[0] == 1
     assert act.action(sym, np.array(E)) == act.action(sym, E)
@@ -380,28 +389,73 @@ def test_period_linear_case():
 
 # At g = 0 the flow is a rotation about the eps-v axis, and every orbit's
 # period is pi hbar / sqrt(eps^2 + v^2).  Measured on 19 energies from 5 %
-# to 95 % of the range: within 3.7e-13 at small bias, but 1.0e-11, 4.7e-11
-# and 3.0e-10 at eps = 100, 300 and 1000, where the orbits are narrow.
+# to 95 % of the range: equal to it at every point, at large bias too
+# (abs=0: pytest's default absolute 1e-12 is 3e-10 of the period at eps=1000).
 @pytest.mark.parametrize("N,eps,rtol", [
     (5, 0.0, 1e-12), (14, 0.6, 1e-12), (40, 3.0, 1e-12), (1000, 0.3, 1e-12),
-    (5, 100.0, 1e-9), (20, 300.0, 1e-9), (5, 1000.0, 1e-9)])
+    (5, 100.0, 1e-12), (20, 300.0, 1e-12), (5, 1000.0, 1e-12)])
 def test_free_period_is_the_rotation_period(N, eps, rtol):
     params = ModelParams(N=N, eps=eps, v=1.0, g=0.0)
     e_min, e_max = act.classical_range(params)
     es = e_min + (e_max - e_min) * np.linspace(0.05, 0.95, 19)
     ref = np.pi * params.hbar / np.hypot(eps, 1.0)
-    assert act.period_direct(params, es) == pytest.approx(np.full(19, ref), rel=rtol)
+    assert act.period_direct(params, es) == pytest.approx(np.full(19, ref), rel=rtol, abs=0)
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureError, reason=(
-    "period_direct does not converge on thin orbits 1e-9 to 1e-6 of the "
-    "range above the bottom at large bias"))
-def test_free_period_on_thin_orbits():
-    params = ModelParams(N=5, eps=1000.0, v=1.0, g=0.0)
+# Thin orbits 1e-9 to 1e-6 of the range above the bottom, on which a
+# quadrature of 1/sqrt(B) does not converge: within 4 ulp of the rotation
+# period at g = 0 (measured 0), and within 1e-12 of the oracle otherwise
+# (measured 8.3e-14 at N=20, eps=0, 2.7e-14 at eps=1, 1.0e-14 at eps=1.5,
+# 2.2e-16 at N=30, eps=50 and 8.6e-14 at N=10, eps=1.2).
+@pytest.mark.parametrize("N,g_ns,eps,frac", [
+    (5, 0.0, 1000.0, 1e-9), (5, 0.0, 1000.0, 1e-8), (5, 0.0, 1000.0, 1e-7), (5, 0.0, 1000.0, 1e-6),
+    (20, -3.0, 0.0, 1e-9), (20, -3.0, 1.0, 1e-9), (20, -3.0, 1.5, 1e-9),
+    (30, -3.0, 50.0, 1e-9), (10, -3.0, 1.2, 1e-7)])
+def test_free_period_on_thin_orbits(N, g_ns, eps, frac):
+    params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
     e_min, e_max = act.classical_range(params)
-    ref = np.pi * params.hbar / np.hypot(1000.0, 1.0)
-    for frac in (1e-9, 1e-8, 1e-7, 1e-6):
-        assert act.period_direct(params, e_min + frac * (e_max - e_min)) == pytest.approx(ref, rel=1e-9)
+    E = e_min + frac * (e_max - e_min)
+    t = act.period_direct(params, E, lobe="total")
+    if g_ns == 0.0:
+        ref = np.pi * params.hbar / np.hypot(eps, 1.0)
+        assert abs(t - ref) <= 4 * np.spacing(ref)
+    else:
+        assert t == pytest.approx(period_mp(params, E), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("params", [SUPER21, BENCH_SETS[2], CUBIC, QUADRATIC,
+                                    ModelParams(N=400, eps=1.0, v=1.0, g=-3.0 / 401)],
+                         ids=["SUPER21", "N14", "cubic", "quadratic", "N400"])
+def test_period_against_the_mpmath_oracle(params):
+    # Within 1e-14 at 1e-6 of the range or more from an end (measured
+    # 4.0e-15), within 1e-12 closer to one (measured 8.3e-14 at 1e-9).
+    e_min, e_max = act.classical_range(params)
+    for fracs, rtol in (([1e-6, 0.1, 0.3, 0.7, 0.9, 1 - 1e-6], 1e-14), ([1e-9, 1 - 1e-9], 1e-12)):
+        es = e_min + np.array(fracs) * (e_max - e_min)
+        ref = [period_mp(params, e) for e in es]
+        assert act.period_direct(params, es, lobe="total") == pytest.approx(ref, rel=rtol, abs=0)
+
+
+@pytest.mark.parametrize("N,eps", [(20, 0.0), (20, 0.5), (400, 1.0)])
+def test_region_two_lobes_share_one_period(N, eps):
+    # The quartic's two real cycles are homologous, so in region II both
+    # lobes have the same period, bit for bit, and the total is twice it.
+    params = ModelParams(N=N, eps=eps, v=1.0, g=-3.0 / (N + 1))
+    info = act.barrier(params)
+    es = np.linspace(info.e_min_upper, info.e_barr, 9)[1:-1]
+    left = act.period_direct(params, es, lobe="left")
+    assert np.array_equal(left, act.period_direct(params, es, lobe="right"))
+    assert np.array_equal(2.0 * left, act.period_direct(params, es, lobe="total"))
+
+
+def test_period_needs_no_quadrature(monkeypatch):
+    calls = []
+    real = act.turning_point_rows
+    monkeypatch.setattr(act, "turning_point_rows", lambda *a, **k: calls.append(1) or real(*a, **k))
+    es = np.linspace(*act.classical_range(SUPER21), 9)[1:-1]
+    act.period_direct(SUPER21, es, lobe="total")
+    act.period_direct(SUPER21, es[0], lobe="left")
+    assert calls == []
 
 
 def test_period_fd_vs_direct():
