@@ -3,15 +3,16 @@
     python3 bench/record.py --base REV --label NAME [--seeds K]
 
 Exports the committed files of the base revision into a temporary
-directory (``git archive``), then runs
+directory (``git archive``), and copies this checkout's files (head:
+those git tracks or would add, uncommitted changes included) into a
+second one, so that neither side runs from the checkout itself; then runs
 
     python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
 
-on base and on this checkout (head, uncommitted changes included) in
-alternation, for every workload W that ``BENCHMARK.json`` declares, at
-its ``run_seconds`` S, over seeds s = 1..K.  The side that runs first
-swaps from seed to seed, so a slow drift of the machine falls on both
-sides alike.
+on base and on head in alternation, for every workload W that
+``BENCHMARK.json`` declares, at its ``run_seconds`` S, over seeds
+s = 1..K.  The side that runs first swaps from seed to seed, so a slow
+drift of the machine falls on both sides alike.
 
 Writes ``BENCH_<label>.json`` at the root of the checkout: per workload
 every run's metrics, operation counts and ``correct`` flag, and per
@@ -42,6 +43,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -64,6 +66,17 @@ def _export(rev, into):
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def _copy_checkout(into):
+    """Copy the working-tree files of this checkout that git tracks or
+    would add (not ignored) into directory ``into``."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in names:
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):  # a tracked file deleted in the tree is skipped
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(into, name))
 
 
 def _run(checkout, workload, seed, seconds, trace=0):
@@ -119,12 +132,12 @@ def _beyond_bound(base_median, head_median, better, bound):
     return head_median > (1.0 + bound) * base_median
 
 
-def record(base_dir, bench, seeds):
+def record(base_dir, head_dir, bench, seeds):
     out = {}
     for w in (w["name"] for w in bench["workloads"]):
         runs = []
         for seed in seeds:
-            sides = (("base", base_dir), ("head", ROOT))
+            sides = (("base", base_dir), ("head", head_dir))
             for side, checkout in sides if seed % 2 else sides[::-1]:
                 print(f"{time.strftime('%H:%M:%S')} {w} seed {seed} {side}",
                       file=sys.stderr, flush=True)
@@ -146,7 +159,7 @@ def record(base_dir, bench, seeds):
         incorrect = {s: sum(not r["correct"] for r in runs if r["side"] == s)
                      for s in ("base", "head")}
         layers = {}
-        for side, checkout in (("base", base_dir), ("head", ROOT)):
+        for side, checkout in (("base", base_dir), ("head", head_dir)):
             print(f"{time.strftime('%H:%M:%S')} {w} seed 1 {side} --trace 1",
                   file=sys.stderr, flush=True)
             res = _run(checkout, w, 1, bench["run_seconds"], trace=1)
@@ -169,12 +182,14 @@ def main(argv=None):
     head = {"rev": _git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(_git("status", "--porcelain"))}
     # On SIGTERM, unwind so that the running benchmark and the exported
-    # checkout are cleaned up.
+    # copies are cleaned up.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     start = time.time()
-    with tempfile.TemporaryDirectory(prefix="bench-record-") as base_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as base_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-record-head-") as head_dir:
         _export(base_rev, base_dir)
-        results = record(base_dir, bench, seeds)
+        _copy_checkout(head_dir)
+        results = record(base_dir, head_dir, bench, seeds)
     doc = {"label": args.label, "base": {"rev": base_rev}, "head": head,
            "command": "perfbench/run.py --trace 0; layers: --trace 1 at seed 1",
            "seconds": bench["run_seconds"],

@@ -11,18 +11,18 @@ Sphi = 0), the parabolic-barrier limit, so a level may sit there.
 Wherever the upper lobe is empty (Sr = 0, kappa = 0, Sphi = 0) the
 condition reduces to the plain rule S = 2 pi hbar (n + 1/2): up to the
 upper well minimum, wherever that lobe is still too narrow to resolve,
-and at every energy of a single well, which is the landscape without
-an upper lobe.  Writing the condition as
-Sl + Sr + Sphi = 2 pi k +- alpha(E)  with
-alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2))  turns root finding
-into bracketing of monotone-ish phase functions, which resolves
-near-degenerate tunneling doublets that a naive sign scan of the
-condition would miss (the condition only dips below zero by O(kappa^2)
-at a deep doublet).
+and at every energy of a single well, which is the landscape without an
+upper lobe.  Writing the condition as Sl + Sr + Sphi = 2 pi k +- alpha(E)
+with alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2)) turns root finding
+into bracketing of monotone-ish phase functions, which resolves the
+near-degenerate tunneling doublets a naive sign scan of the condition
+would miss (at a deep doublet it dips below zero by only O(kappa^2)).
 
 The condition is evaluated on energy arrays: each bisection pass of the
-sampling grid is one ``_dw_eval`` call, and every bracketed root is
-refined in lockstep, one call per refinement step.
+sampling grid is one ``_dw_eval`` call, and the one refiner, ``_bisect``,
+takes every bracketed root in lockstep, one call per step, by false
+position.  ``quantize_single`` also hands it the slope of the plain rule,
+the period, so its steps are Newton steps, three or so per level.
 """
 
 from __future__ import annotations
@@ -50,57 +50,70 @@ class Level:
     residual: float
 
 
-def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
+def _bisect(f, a, b, fa=None, fb=None, ftol=0.0, xtol=0.0):
     """Bracketed root refinement of every bracket [a[j], b[j]] in lockstep,
-    by false position with the Illinois step (Dowell and Jarratt, BIT 11,
-    1971): an end kept twice in a row has its value halved, so both ends
-    close in.  A step on or outside an end moves one ulp inside (Brent's
-    minimal step), so an end on the root closes its bracket with one more
+    by safeguarded Newton steps (rtsafe, Numerical Recipes 9.4) over false
+    position with the Illinois step (Dowell and Jarratt, BIT 11, 1971).
+    ``f(x, rows)`` returns the function, or a pair (function, slope), of
+    bracket ``rows[j]`` at ``x[j]``, so each step is one call for all
+    brackets still open.  A Newton step dx landing strictly inside the
+    bracket is taken.  Its error squares at each step, so where |dx| <= xtol
+    and |dx| (dx/dx')^2 <= 1e-8 xtol, dx' the step before (the width after
+    a step of another kind), the bracket closes at the stepped point,
+    unevaluated, with its ends' smaller |f| as residual.  Any other step is
+    false position, where an end kept twice in a row has its value halved.
+    A step on or outside an end moves one ulp inside (Brent's minimal
+    step), so an end on the root closes its bracket with one more
     evaluation; a step that is not finite takes the midpoint.  A bracket
-    stops at adjacent floats, or at an end where |f| <= ftol (one value, or
-    one per bracket; 0, an exact root, by default).
-
-    ``f(x, rows)`` returns the function of bracket ``rows[j]`` at
-    ``x[j]``, so each step is one call for all brackets still open.
-    Returns (root, |f(root)|), the final bracket's end with the smaller
-    |f|, laid out like a and b: floats for scalar ends.
+    also stops at adjacent floats, or at an end where |f| <= ftol (one
+    value, or one per bracket; 0, an exact root, by default).  Returns
+    (root, |f(root)|), the end with the smaller |f| or the Newton point,
+    laid out like a and b: floats for scalar ends.
     """
+    pair = lambda out: out if isinstance(out, tuple) else (out, np.nan)
     shape = np.broadcast(a, b).shape
     flat = lambda x: np.array(np.broadcast_to(x, shape), dtype=float).reshape(-1)
     a, b = flat(a), flat(b)
     rows = np.arange(a.size)
-    fa = f(a, rows) if fa is None else flat(fa)
-    fb = f(b, rows) if fb is None else flat(fb)
+    fa = pair(f(a, rows))[0] if fa is None else flat(fa)
+    fb = pair(f(b, rows))[0] if fb is None else flat(fb)
     if np.any(fa * fb > 0):
         raise QuantizationError("root bracket lost")
     tol = flat(ftol)
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     resid = np.minimum(np.abs(fa), np.abs(fb))
     # The open brackets, compacted; ga and gb are the ends' unhalved values,
-    # last says whether the last step moved b (1) or a (0), -1 at first.
+    # last says whether the last step moved b (1) or a (0), -1 at first, dx
+    # the Newton step from the end it moved (NaN without a slope), dx0 the step before.
     live = (np.abs(fa) > tol) & (np.abs(fb) > tol)
     a, b, fa, fb, rows = a[live], b[live], fa[live], fb[live], rows[live]
-    ga, gb, last = fa, fb, np.full(rows.size, -1.0)
+    ga, gb, last, dx, dx0 = fa, fb, np.full(rows.size, -1.0), *np.full((2, rows.size), np.nan)
 
     def close(done):
         nearer = np.abs(ga[done]) < np.abs(gb[done])
         root[rows[done]] = np.where(nearer, a[done], b[done])
         resid[rows[done]] = np.abs(np.where(nearer, ga[done], gb[done]))
-        return (x[~done] for x in (a, b, fa, fb, ga, gb, last, rows))
+        return (x[~done] for x in (a, b, fa, fb, ga, gb, last, dx, dx0, rows))
 
     # A step compacts the open brackets only when one of them closes.
     for _ in range(200):
         with np.errstate(invalid="ignore", over="ignore"):
             mid = b - fb * (b - a) / (fb - fa)
-        mid = np.where(np.isfinite(mid), np.clip(mid, np.nextafter(a, b), np.nextafter(b, a)),
-                       0.5 * (a + b))
+            newton = np.where(last > 0, b, a) + dx
+            take = (a < newton) & (newton < b)
+            near = take & (np.abs(dx) <= xtol) & (np.abs(dx) ** 3 <= 1e-8 * xtol * dx0 * dx0)
+        mid = np.where(take, newton, np.where(np.isfinite(mid), np.clip(
+            mid, np.nextafter(a, b), np.nextafter(b, a)), 0.5 * (a + b)))
+        a, b = np.where(near, mid, a), np.where(near, mid, b)  # closed on the Newton point
         done = ~((a < mid) & (mid < b))
         if done.any():
-            a, b, fa, fb, ga, gb, last, rows = close(done)
-            mid = mid[~done]
+            a, b, fa, fb, ga, gb, last, dx, dx0, rows = close(done)
+            mid, take = mid[~done], take[~done]
         if not rows.size:
             break
-        fm = f(mid, rows)
+        fm, slope = pair(f(mid, rows))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx0, dx = np.where(take, dx, b - a), -fm / slope
         right = (fm < 0) == (fb < 0)  # mid replaces b
         # The end kept in place twice in a row has its value halved.
         h = np.where(right == last, 0.5, 1.0)
@@ -109,7 +122,7 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
         a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
         done = np.abs(fm) <= tol[rows]
         if done.any():
-            a, b, fa, fb, ga, gb, last, rows = close(done)
+            a, b, fa, fb, ga, gb, last, dx, dx0, rows = close(done)
     close(np.ones(rows.size, dtype=bool))
     root, resid = root.reshape(shape), resid.reshape(shape)
     return (float(root), float(resid)) if not shape else (root, resid)
@@ -120,19 +133,26 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0):
 
 
 def quantize_single(params: ModelParams, n: int) -> float:
-    """Root of S(E) = 2 pi hbar (n + 1/2), exploiting monotonicity."""
+    """Root of S(E) = 2 pi hbar (n + 1/2) by Newton steps on S and its slope,
+    the period, each from one contour record, after one false-position step."""
     _level_index(params, n)
     e_min, e_max = act.classical_range(params)
     target = 2.0 * np.pi * params.hbar * (n + 0.5)
 
     def f(E, rows):
-        return act.action(params, E, lobe="total") - target
+        orb = act._orbit(params, E)
+        try:
+            slope = act._period(params, orb, "total")
+        except act.GeometryError:  # a sliver orbit, with no allowed segment to time
+            slope = np.nan
+        return act._area_of(params, E, *act._lobe(params, orb, "total")) - target, slope
 
     # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
     # at the ends are too small to integrate at full precision.  A bracket
     # stops within one ulp of the target, as at the connection condition.
     s_max = 2.0 * np.pi * params.hbar * params.Ns
-    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target, ftol=np.spacing(target))[0]
+    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target, ftol=np.spacing(target),
+                   xtol=1.5e-8 * params.energy_scale())[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ quadrature of the time integral (`period_mp`) check the closed-form
 IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit; the
 full 2x2 Hessian checks `fixed_points`, which reads only its diagonal;
 the arcsine and arccosh forms of the oscillator integrals, and a 40-digit
-bisection on them, check `wavefun`'s Kepler-form inversion of them.
+bisection on them, check `wavefun`'s Kepler-form inversion of them; the
+plain rule's root walked down to adjacent floats without a slope
+(`walked_level`) checks `quantize_single`'s Newton steps.
 """
 
 import mpmath
 import numpy as np
 
 from bosesemi import actions as act
+from bosesemi.quantize import _bisect
 from bosesemi.roots import _polish
 
 
@@ -116,6 +119,18 @@ def period_fd(params, E, lobe="auto"):
         return (act.action(params, E + hh, lobe=lobe) - act.action(params, E - hh, lobe=lobe)) / (2.0 * hh)
 
     return float((4.0 * d(0.5 * h) - d(h)) / 3.0)
+
+
+def walked_level(params, n):
+    """Level n of the plain rule S(E) = 2 pi hbar (n + 1/2): the refiner
+    without a slope, false position with the Illinois step on
+    ``action(lobe="total")``, walked down to adjacent floats or an exact
+    root, with no stop at a tolerance."""
+    e_min, e_max = act.classical_range(params)
+    target = 2.0 * np.pi * params.hbar * (n + 0.5)
+    s_max = 2.0 * np.pi * params.hbar * params.Ns
+    f = lambda E, rows: act.action(params, E, lobe="total") - target
+    return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0]
 
 
 def period_mp(params, E, dps=50):

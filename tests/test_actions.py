@@ -473,6 +473,24 @@ def test_period_fd_vs_direct():
     assert act.period_direct(SUPER21, -60.0, lobe="total") == pytest.approx(both, rel=1e-12)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+@pytest.mark.parametrize("g_ns,eps,frac,region", [
+    (-0.6, 0.6, 0.3, "single"), (-3.0, 0.5, 0.1, "I"), (-3.0, 0.5, 0.3, "II"),
+    (-3.0, 0.5, 0.6, "III")])
+def test_period_is_the_slope_of_the_total_action(hbar, g_ns, eps, frac, region):
+    # quantize_single takes Newton steps on action(lobe="total") with
+    # _period(orb, "total") of the same contour record as the slope: that
+    # is dS/dE itself at either hbar, not dS/dE / hbar (measured within
+    # 6e-12 relative of the extrapolated central differences).
+    p = ModelParams(N=20, eps=eps, v=1.0, g=g_ns / 21.0, hbar=hbar)
+    e_min, e_max = act.classical_range(p)
+    E = e_min + frac * (e_max - e_min)
+    assert act.turning_points(p, E).region == region
+    slope = act._period(p, act._orbit(p, E), "total")[0]
+    assert slope == pytest.approx(period_fd(p, E, lobe="total"), rel=1e-10)
+    assert slope == act.period_direct(p, E, lobe="total")
+
+
 def test_period_harmonic_limit():
     fps = [f for f in mf.fixed_points(SUPER21) if f.kind == "minimum"]
     f = fps[0]

@@ -16,7 +16,7 @@ from bosesemi.quantize import (
     sweep_epsilon,
 )
 from bosesemi.quantum import exact_spectrum
-from oracles import ho_decay
+from oracles import ho_decay, walked_level
 from reference_data import semiclassical_column
 
 TABLE_PARAMS = {eps: ModelParams(N=20, eps=eps, v=1.0, g=-3.0 / 21.0)
@@ -170,11 +170,13 @@ def test_level_refinement_budget(monkeypatch):
     # Each row of the batched quartic solver is one energy evaluated: every
     # refinement step, and for a spectrum every grid pass as well (26.9
     # rows per level at eps=1.5 with the midpoint fallback, 22.4 with the
-    # one-ulp minimal step).
+    # one-ulp minimal step).  The single level takes one false-position
+    # step and two Newton steps on S and the period (8 Illinois steps
+    # without the slope).
     real, rows = act.quartic_rows, []
     monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
     quantize_single(ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0), 2)
-    assert sum(rows) <= 15
+    assert sum(rows) <= 3
     rows.clear()
     spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
     assert sum(rows) <= 25 * len(spec)
@@ -189,24 +191,95 @@ def test_level_refinement_budget(monkeypatch):
 
 def test_single_level_stops_within_an_ulp_of_its_action(monkeypatch):
     # quantize_single closes a bracket at an end where |S - target| is
-    # within spacing(target), as the connection condition does; walking
-    # down to adjacent floats moves no level by more than roundoff (82
-    # action evaluations for these 11 levels, 73 with the stop rule).
+    # within spacing(target), as the connection condition does, or at a
+    # Newton step whose estimated error is below roundoff; walking down to
+    # adjacent floats moves no level by more than roundoff.  Each contour
+    # row is one energy evaluated: 82 walked for these 11 levels, 73 with
+    # the stop rule alone, 33 with Newton steps.
     p = ModelParams(N=100, eps=0.6, v=1.0, g=-0.6 / 101.0)
-    real, calls = act.action, []
-    monkeypatch.setattr(act, "action", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
     levels = [quantize_single(p, n) for n in range(0, 101, 10)]
-    evals = len(calls)
-    calls.clear()
+    evals = sum(rows)
+    rows.clear()
+    walked = [walked_level(p, n) for n in range(0, 101, 10)]
+    assert evals <= 33 < sum(rows)
     e_min, e_max = act.classical_range(p)
-    s_max = 2.0 * np.pi * p.hbar * p.Ns
-    walked = []
-    for n in range(0, 101, 10):
-        target = 2.0 * np.pi * p.hbar * (n + 0.5)
-        f = lambda E, rows: act.action(p, E, lobe="total") - target
-        walked.append(_bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0])
-    assert evals < len(calls)
     assert np.max(np.abs(np.subtract(levels, walked))) <= 1e-13 * (e_max - e_min) / p.N
+
+
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 0.0), (20, -3.0, 0.5), (40, -6.0, 0.0),
+                                        (40, -6.0, 0.3)])
+def test_single_levels_straddling_the_barrier(monkeypatch, N, g_ns, eps):
+    # The period diverges logarithmically at the barrier top, so S bends
+    # sharply there and Newton's error shrinks more slowly next to it.
+    # The two levels on either side of e_barr still agree with the walked
+    # root to 1e-12 mean spacings (measured 2.5e-15 or 0), in at most 7
+    # contour rows each (measured 4-7).
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    e_barr = act.barrier(p).e_barr
+    e_min, e_max = act.classical_range(p)
+    walked = np.array([walked_level(p, n) for n in range(N + 1)])
+    k = int(np.searchsorted(walked, e_barr))
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
+    for n in (k - 1, k):
+        rows.clear()
+        assert abs(quantize_single(p, n) - walked[n]) <= 1e-12 * (e_max - e_min) / N
+        assert sum(rows) <= 7
+
+
+def test_refiner_takes_no_step_from_a_slope_that_is_not_finite():
+    # An infinite slope gives a Newton step of 0, back onto the end just
+    # evaluated: that step is not taken and does not close the bracket,
+    # however large xtol.  A NaN slope gives no step.  Either way every
+    # step is the Illinois one, evaluation for evaluation.
+    g = lambda e: np.expm1(20.0 * e) - 1.0
+    plain, x = [], []
+    want = _bisect(lambda e, _: plain.append(e) or g(e), 0.0, 1.0)
+    for slope in (np.inf, -np.inf, np.nan):
+        x.clear()
+        got = _bisect(lambda e, _: x.append(e) or (g(e), np.full_like(e, slope)), 0.0, 1.0,
+                      xtol=1.0)
+        assert got == want
+        assert np.array_equal(x, plain)
+
+
+@pytest.mark.parametrize("where", ["barrier top", "sliver"])
+def test_single_level_without_a_finite_slope_takes_illinois_steps(monkeypatch, where):
+    # Every slope comes from one contour record: at the barrier top, where
+    # the period diverges (an infinite one stands in for it here, since the
+    # AGM at the computed e_barr is 1.5e8), and on a sliver orbit, where
+    # _period raises GeometryError.  Without a finite slope quantize_single
+    # takes Illinois steps, bit for bit: its levels and contour rows are
+    # those of the slope-free refiner with the one-ulp stop rule.
+    p = ModelParams(N=20, eps=0.0, v=1.0, g=-3.0 / 21.0)
+    e_min, e_max = act.classical_range(p)
+    sliver = act._orbit(p, e_min + 1e-14 * (e_max - e_min))
+    with pytest.raises(act.GeometryError):
+        act._period(p, sliver, "total")
+    real_period = act._period
+
+    def period(params, orb, lobe):
+        if where == "sliver":
+            return real_period(params, sliver, lobe)
+        return np.full(len(orb.lead), np.inf)
+
+    monkeypatch.setattr(act, "_period", period)
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
+    s_max = 2.0 * np.pi * p.hbar * p.Ns
+    e_barr = act.barrier(p).e_barr
+    for n in range(4, 8):  # levels 5 and 6 straddle e_barr
+        rows.clear()
+        level = quantize_single(p, n)
+        newton_rows = sum(rows)
+        rows.clear()
+        target = 2.0 * np.pi * p.hbar * (n + 0.5)
+        plain = _bisect(lambda E, _: act.action(p, E, lobe="total") - target, e_min, e_max,
+                        fa=-target, fb=s_max - target, ftol=np.spacing(target))[0]
+        assert level == plain and newton_rows == sum(rows)
+    assert quantize_single(p, 5) < e_barr < quantize_single(p, 6)
 
 
 def test_refiner_endgame_takes_the_minimal_step():

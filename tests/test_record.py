@@ -1,9 +1,11 @@
 """The paired-record summary in bench/record.py: quartiles, ratios,
 pair wins, the bound check and the gain rule in the direction each
-metric counts as better, and the traced per-layer runs."""
+metric counts as better, the traced per-layer runs, and the two exported
+copies the sides run from."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,7 +68,7 @@ def test_paired_bound_reads_the_median_per_seed_ratio(monkeypatch):
     bench = {"workloads": [{"name": "dw-spectra"}], "run_seconds": 10,
              "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
                              "bound": 0.25}]}
-    m = record.record("BASE", bench, doc["seeds"])["dw-spectra"]["metrics"]["ops_per_s"]
+    m = record.record("BASE", "HEAD", bench, doc["seeds"])["dw-spectra"]["metrics"]["ops_per_s"]
     assert m["beyond_bound"] and not m["beyond_bound_paired"]
     assert m["ratio_median"] == pytest.approx(0.984, abs=1e-3)
 
@@ -84,7 +86,7 @@ def test_record_sums_failed_operations_and_checks_each_bound(monkeypatch):
     bench = {"workloads": [{"name": "w"}], "run_seconds": 1,
              "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
                              "bound": 0.25}]}
-    out = record.record("BASE", bench, [1, 2, 3])["w"]
+    out = record.record("BASE", "HEAD", bench, [1, 2, 3])["w"]
     assert out["failed"] == {"base": 6, "head": 0}
     assert out["metrics"]["ops_per_s"]["beyond_bound"]
     assert out["metrics"]["ops_per_s"]["bound"] == 0.25
@@ -129,10 +131,10 @@ def test_record_keeps_one_traced_run_per_side_at_seed_1(monkeypatch):
     bench = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 1,
              "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
                              "bound": 0.25}]}
-    out = record.record("BASE", bench, [1, 2, 3])
+    out = record.record("BASE", "HEAD", bench, [1, 2, 3])
     traced = [c for c in calls if c[3] == 1]
     assert set(traced) == {("BASE", "w1", 1, 1), ("BASE", "w2", 1, 1),
-                           (record.ROOT, "w1", 1, 1), (record.ROOT, "w2", 1, 1)}
+                           ("HEAD", "w1", 1, 1), ("HEAD", "w2", 1, 1)}
     assert len(traced) == 4
     assert len(calls) - len(traced) == 2 * 2 * 3
     for w in ("w1", "w2"):
@@ -150,7 +152,7 @@ def test_record_counts_incorrect_runs_and_main_flags_head_worse(
     record = _load_record()
 
     def run(checkout, workload, seed, seconds, trace=0):
-        base = checkout != str(tmp_path)
+        base = not Path(checkout).name.startswith("bench-record-head-")
         # Base is incorrect at seed 2 and fails one operation per run.
         correct = seed != 2 if base else head_correct or seed == 2
         return {"correct": correct, "attempted": 50, "failed": 1 if base else head_failed,
@@ -163,6 +165,7 @@ def test_record_counts_incorrect_runs_and_main_flags_head_worse(
     monkeypatch.setattr(record, "ROOT", str(tmp_path))
     monkeypatch.setattr(record, "_git", lambda *args: "0" * 40)
     monkeypatch.setattr(record, "_export", lambda rev, into: None)
+    monkeypatch.setattr(record, "_copy_checkout", lambda into: None)
     monkeypatch.setattr(record.signal, "signal", lambda *args: None)
     monkeypatch.setattr(record, "_run", run)
     assert record.main(["--base", "BASE", "--label", "t", "--seeds", "3"]) == status
@@ -171,3 +174,49 @@ def test_record_counts_incorrect_runs_and_main_flags_head_worse(
     assert doc["workloads"]["w"]["incorrect"] == {"base": 1, "head": 0 if head_correct else 2}
     assert doc["workloads"]["w"]["failed"] == {"base": 3, "head": 3 * head_failed}
     assert "incorrect runs  base 1" in capsys.readouterr().out
+
+
+def test_neither_side_runs_from_the_checkout(monkeypatch, tmp_path):
+    # Base runs from its committed files and head from a copy of the
+    # checkout's files, modified and not yet added ones included, each in
+    # a temporary directory of its own.  In two records of changes that
+    # left dw-spectra's code as it was, head ran from the checkout and read
+    # dw-spectra about 4 % slower than base.
+    record = _load_record()
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    bench = {"workloads": [{"name": "w"}], "run_seconds": 1,
+             "end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",
+                             "bound": 0.25}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("out/\n")
+    git = lambda *args: subprocess.run(["git", "-C", str(repo), *args], check=True,
+                                       capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
+    (repo / "perfbench" / "run.py").write_text("modified\n")
+    (repo / "perfbench" / "new.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "ignored.txt").write_text("ignored\n")
+    seen = {}
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        files = sorted(str(f.relative_to(checkout)) for f in Path(checkout).rglob("*")
+                       if f.is_file())
+        seen[checkout] = (files, (Path(checkout) / "perfbench" / "run.py").read_text())
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(record, "ROOT", str(repo))
+    monkeypatch.setattr(record, "_run", run)
+    monkeypatch.setattr(record.signal, "signal", lambda *args: None)
+    assert record.main(["--base", "HEAD", "--label", "t", "--seeds", "2"]) == 0
+    assert len(seen) == 2 and str(repo) not in seen
+    contents = sorted(seen.values(), key=lambda v: v[1])
+    assert contents == [
+        ([".gitignore", "BENCHMARK.json", "perfbench/run.py"], "committed\n"),
+        ([".gitignore", "BENCHMARK.json", "perfbench/new.py", "perfbench/run.py"], "modified\n")]
+    # The copies are temporary.
+    assert not any(Path(d).exists() for d in seen)
