@@ -1,5 +1,6 @@
 """Classical action machinery: turning points, orbit areas, periods and
-the barrier integrals entering the double-well quantization condition.
+the barrier integrals entering the double-well quantization condition,
+and the slopes of those integrals in the energy.
 
 Everything is built on one primitive: the width in the angle coordinate
 of the sublevel set {H(p,q) <= E} at fixed momentum, which is
@@ -27,7 +28,7 @@ from .meanfield import fixed_points
 from .model import ModelParams
 from .quad import turning_point_rows
 from .roots import quartic_rows
-from .special import arg_gamma_half_line
+from .special import _re_digamma_half_line, arg_gamma_half_line
 
 
 class GeometryError(ValueError):
@@ -398,20 +399,26 @@ def _agm(x, y):
 
 def _period(params: ModelParams, orb: _Contour, lobe):
     """The period of each contour's ``lobe`` (see ``_lobe``): the number of
-    allowed segments it covers times pi hbar / AGM(sqrt(A B), sqrt((A+B)^2
-    - k (b-a)^2)/2), the complete elliptic integral over an allowed segment
-    [a, b] in s = p/(hbar*Ns) (Byrd and Friedman 1971, 254.00 and 259.00;
-    DLMF 19.8).  A^2 and B^2 are |lead| times the product of the other
-    roots' distances to a and to b, and k is |lead| on a quartic row and 0
-    on a lower degree.  The real cycles are homologous, so a row's allowed
-    segments share the value of its first; the width enters only through
-    k (b-a)^2, so a thin orbit loses nothing."""
+    allowed segments it covers times pi hbar / ``_cycle_agm``.  The real
+    cycles are homologous, so a row's allowed segments share one value."""
     a, b, kind = _lobe(params, orb, lobe)
     # A segment that the cut at the barrier splits counts once.
     count = ((kind == _ALLOWED) & (b > a)).reshape(len(kind), -1, 5).any(axis=1).sum(axis=1)
     if not count.all():
         raise GeometryError("no classically allowed momenta at this energy")
-    rows = np.arange(len(kind))
+    return count * (np.pi * params.hbar / _cycle_agm(params, orb))
+
+
+def _cycle_agm(params: ModelParams, orb: _Contour):
+    """The AGM(sqrt(A B), sqrt((A+B)^2 - k (b-a)^2)/2) of each contour's
+    first allowed segment [a, b] in s = p/(hbar*Ns), whose complete
+    integral of ds/sqrt|P| is pi over it (Byrd and Friedman 1971, 254.00
+    and 259.00; DLMF 19.8).  A^2 and B^2 are |lead| times the product of
+    the other roots' distances to a and to b, and k is |lead| on a quartic
+    row and 0 on a lower degree; the width enters only through k (b-a)^2,
+    so a thin orbit loses nothing.  A row without an allowed segment gets
+    a meaningless value."""
+    rows = np.arange(len(orb.lead))
     seg = np.argmax(orb.kind == _ALLOWED, axis=1)
     ends = np.stack([orb.a[rows, seg], orb.b[rows, seg]]) / (params.hbar * params.Ns)
     # Each end's own root is the nearest one not already taken; a NaN
@@ -422,8 +429,65 @@ def _period(params: ModelParams, orb: _Contour, lobe):
     A, B = (np.sqrt(np.abs(orb.lead * np.prod(np.where(taken, 1.0, x[:, None] - orb.roots), axis=1)))
             for x in ends)
     k = np.where(np.isnan(orb.roots[:, -1]), 0.0, np.abs(orb.lead))
-    mean = _agm(np.sqrt(A * B), 0.5 * np.sqrt((A + B) ** 2 - k * (ends[1] - ends[0]) ** 2))
-    return count * (np.pi * params.hbar / mean)
+    return _agm(np.sqrt(A * B), 0.5 * np.sqrt((A + B) ** 2 - k * (ends[1] - ends[0]) ** 2))
+
+
+def _rf(x, y, z):
+    """Carlson's symmetric integral R_F(x, y, z) (DLMF 19.16.1) of complex
+    arguments off the negative real axis, by 12 duplication steps and the
+    fifth-order series (Carlson, Numer. Algorithms 10, 13, 1995), the same
+    steps for every element, so array calls equal scalar calls bit for bit."""
+    for _ in range(12):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    mean = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+
+
+def _half_periods(params: ModelParams, orb: _Contour, pb):
+    """dS/dE of the contours' parts on either side of momentum pb, the
+    slopes of ``_half_areas``: shape (rows, 2) with the left part first,
+    summing to ``_period(..., "total")``.  Every allowed segment wholly on
+    one side adds the complete integral pi hbar / ``_cycle_agm``; a segment
+    [a, b] that pb splits at c = pb/(hbar*Ns) in s adds hbar times the
+    incomplete integral J of ds/sqrt|P| from a to c on the left and the
+    rest on the right.  With the roots of P = lead prod(s - r_i), r_1 = a,
+    and f_i = |s - r_i| for a real root and s - r_i for a complex one,
+    J = 2 sqrt(c-a) R_F(f_2(c) f_3(a) f_4(a), f_3(c) f_2(a) f_4(a),
+    f_4(c) f_2(a) f_3(a)) / sqrt|lead| (DLMF 19.29.4 with Y_1 = 0).  NaN on a
+    row without an allowed segment, and where a split segment lies on a
+    row of lower degree."""
+    allowed = orb.kind == _ALLOWED
+    with np.errstate(invalid="ignore", divide="ignore"):  # meaningless without an allowed segment
+        full = np.pi * params.hbar / _cycle_agm(params, orb)
+    split = allowed & (orb.a < pb) & (pb < orb.b)
+    left = (allowed & (orb.b <= pb)).sum(axis=1) * full
+    right = (allowed & (orb.a >= pb)).sum(axis=1) * full
+    rows = np.flatnonzero(split.any(axis=1))
+    if rows.size:
+        scale = params.hbar * params.Ns
+        a, c = orb.a[rows, np.argmax(split[rows], axis=1)][:, None] / scale, pb / scale
+        # The root at a comes first, then the other three in any order.
+        r = orb.roots[rows]
+        r = np.take_along_axis(r, np.argsort(np.abs(r - a), axis=1), axis=1)
+        real = np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r))
+        r = np.where(real, r.real, r)
+        sign = np.where(real & (r.real > a), -1.0, 1.0)
+        fa, fc = ((sign * (x - r))[:, 1:] for x in (a, c))
+        with np.errstate(invalid="ignore"):
+            j = 2.0 * np.sqrt((c - a[:, 0]) / np.abs(orb.lead[rows])) * _rf(
+                fc[:, 0] * fa[:, 1] * fa[:, 2], fc[:, 1] * fa[:, 0] * fa[:, 2],
+                fc[:, 2] * fa[:, 0] * fa[:, 1]).real
+        half = params.hbar * j
+        left[rows] += half
+        right[rows] += full[rows] - half
+    out = np.stack([left, right], axis=1)
+    out[~allowed.any(axis=1)] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +517,14 @@ def phase_correction(tunnel_action):
     out = np.zeros(len(x))
     out[nz] = arg_gamma_half_line(xs) - xs * np.log(np.abs(xs)) + xs
     return shaped(out)
+
+
+def _phase_slope(tunnel_action):
+    """d phase_correction / dx = Re psi(1/2 + i x) - log|x| at x =
+    tunnel_action, an array; +inf at x = 0, where the phase has a log
+    singularity."""
+    with np.errstate(divide="ignore"):
+        return _re_digamma_half_line(tunnel_action) - np.log(np.abs(tunnel_action))
 
 
 def tunneling(params: ModelParams, E):
@@ -510,3 +582,28 @@ def _tunneling(params: ModelParams, info: BarrierInfo, Er, orb: _Contour):
     with np.errstate(over="ignore"):
         kappa = np.where(-np.pi * s_eps < 700, np.exp(-np.pi * s_eps), np.inf)
     return s_eps, kappa
+
+
+def _tunneling_slope(params: ModelParams, orb: _Contour):
+    """dSeps/dE of ``_tunneling`` on each contour row: -1/(2 pi) times the
+    integral of ds/sqrt|P| between the inner turning points, the quartic's
+    imaginary half period, which stays finite at the barrier top.  With
+    four real roots r1 < ... < r4 (below the top) it is pi / (sqrt|lead|
+    AGM(sqrt((r3-r1)(r4-r2)), sqrt((r2-r1)(r4-r3)))); with two real roots
+    a, b and a complex pair z (above it) it is pi / AGM(sqrt(A B),
+    sqrt(|lead| (a-b)^2 - (A-B)^2)/2), A = sqrt|lead| |a - z| and B =
+    sqrt|lead| |b - z|: ``_cycle_agm``'s modulus swapped for its complement,
+    as K' is K of the complementary modulus (DLMF 19.8.5).  NaN on a row
+    with neither root pattern."""
+    roots = orb.roots
+    cplx = np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots))
+    ncplx = np.where(np.isnan(roots), 4, cplx).sum(axis=1)
+    k = np.abs(orb.lead)
+    r = np.sort(np.where(cplx, np.inf, roots.real), axis=1)  # the real roots first
+    with np.errstate(invalid="ignore"):
+        below = np.sqrt(k) * _agm(np.sqrt((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])),
+                                  np.sqrt((r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])))
+        z = roots[np.arange(len(k)), np.argmax(cplx, axis=1)]
+        A, B = np.sqrt(k) * np.abs(r[:, 0] - z), np.sqrt(k) * np.abs(r[:, 1] - z)
+        above = _agm(np.sqrt(A * B), 0.5 * np.sqrt(k * (r[:, 1] - r[:, 0]) ** 2 - (A - B) ** 2))
+    return -0.5 / np.select([ncplx == 0, ncplx == 2], [below, above], np.nan)

@@ -20,9 +20,12 @@ would miss (at a deep doublet it dips below zero by only O(kappa^2)).
 
 The condition is evaluated on energy arrays: each bisection pass of the
 sampling grid is one ``_dw_eval`` call, and the one refiner, ``_bisect``,
-takes every bracketed root in lockstep, one call per step, by false
-position.  ``quantize_single`` also hands it the slope of the plain rule,
-the period, so its steps are Newton steps, three or so per level.
+takes every bracketed root in lockstep, one call per step.  Its calls
+also read the condition's exact slope from the same contour record
+(``_dw_slope``), so its steps are Newton steps, safeguarded by
+bisection and false position, and a spectrum takes 4-6 calls in all.
+``quantize_single`` hands it the slope of the plain rule, the period,
+likewise: three or so contour solves per level.
 """
 
 from __future__ import annotations
@@ -56,14 +59,18 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0, xtol=0.0):
     position with the Illinois step (Dowell and Jarratt, BIT 11, 1971).
     ``f(x, rows)`` returns the function, or a pair (function, slope), of
     bracket ``rows[j]`` at ``x[j]``, so each step is one call for all
-    brackets still open.  A Newton step dx landing strictly inside the
-    bracket is taken.  Its error squares at each step, so where |dx| <= xtol
-    and |dx| (dx/dx')^2 <= 1e-8 xtol, dx' the step before (the width after
-    a step of another kind), the bracket closes at the stepped point,
-    unevaluated, with its ends' smaller |f| as residual.  Any other step is
-    false position, where an end kept twice in a row has its value halved.
-    A step on or outside an end moves one ulp inside (Brent's minimal
-    step), so an end on the root closes its bracket with one more
+    brackets still open.  A Newton step dx from the point last evaluated
+    is taken where it lands strictly inside the bracket and is at most half
+    of dx', the step before (the Newton step, or the width that a step of
+    another kind left); one that lands inside but does not halve, as from
+    one side of a bend to the other and back, gives way to the midpoint.
+    Newton's error squares at each step, so where two Newton steps come in
+    a row, |dx| <= xtol and |dx| (dx/dx')^2 <= 1e-8 xtol, the bracket closes
+    at the stepped point, unevaluated, with the residual Newton's model
+    predicts there, |f| (dx/dx')^2, or ftol if that is larger.  Any other
+    step is false position, where an end kept twice in a row has its value
+    halved.  A step on or outside an end moves one ulp inside (Brent's
+    minimal step), so an end on the root closes its bracket with one more
     evaluation; a step that is not finite takes the midpoint.  A bracket
     also stops at adjacent floats, or at an end where |f| <= ftol (one
     value, or one per bracket; 0, an exact root, by default).  Returns
@@ -84,45 +91,54 @@ def _bisect(f, a, b, fa=None, fb=None, ftol=0.0, xtol=0.0):
     resid = np.minimum(np.abs(fa), np.abs(fb))
     # The open brackets, compacted; ga and gb are the ends' unhalved values,
     # last says whether the last step moved b (1) or a (0), -1 at first, dx
-    # the Newton step from the end it moved (NaN without a slope), dx0 the step before.
+    # the Newton step from the end it moved (NaN without a slope), dx0 the
+    # step before and stepped whether that was a Newton step.
     live = (np.abs(fa) > tol) & (np.abs(fb) > tol)
     a, b, fa, fb, rows = a[live], b[live], fa[live], fb[live], rows[live]
     ga, gb, last, dx, dx0 = fa, fb, np.full(rows.size, -1.0), *np.full((2, rows.size), np.nan)
+    stepped = np.zeros(rows.size, dtype=bool)
 
     def close(done):
         nearer = np.abs(ga[done]) < np.abs(gb[done])
         root[rows[done]] = np.where(nearer, a[done], b[done])
         resid[rows[done]] = np.abs(np.where(nearer, ga[done], gb[done]))
-        return (x[~done] for x in (a, b, fa, fb, ga, gb, last, dx, dx0, rows))
+        return (x[~done] for x in (a, b, fa, fb, ga, gb, last, dx, dx0, stepped, rows))
 
     # A step compacts the open brackets only when one of them closes.
     for _ in range(200):
         with np.errstate(invalid="ignore", over="ignore"):
             mid = b - fb * (b - a) / (fb - fa)
             newton = np.where(last > 0, b, a) + dx
-            take = (a < newton) & (newton < b)
-            near = take & (np.abs(dx) <= xtol) & (np.abs(dx) ** 3 <= 1e-8 * xtol * dx0 * dx0)
-        mid = np.where(take, newton, np.where(np.isfinite(mid), np.clip(
+            inside = (a < newton) & (newton < b)
+            take = inside & (np.abs(dx) <= 0.5 * np.abs(dx0))
+            near = take & stepped & (np.abs(dx) <= xtol) & \
+                (np.abs(dx) ** 3 <= 1e-8 * xtol * dx0 * dx0)
+            # The residual Newton's model predicts at the stepped point, or
+            # the tolerance where that lies below it, as roundoff does.
+            model = np.maximum(np.abs(np.where(last > 0, gb, ga)) * (dx / dx0) ** 2, tol[rows])
+        mid = np.where(take, newton, np.where(np.isfinite(mid) & ~inside, np.clip(
             mid, np.nextafter(a, b), np.nextafter(b, a)), 0.5 * (a + b)))
-        a, b = np.where(near, mid, a), np.where(near, mid, b)  # closed on the Newton point
+        # closed on the Newton point
+        a, b = np.where(near, mid, a), np.where(near, mid, b)
+        ga, gb = np.where(near, model, ga), np.where(near, model, gb)
         done = ~((a < mid) & (mid < b))
         if done.any():
-            a, b, fa, fb, ga, gb, last, dx, dx0, rows = close(done)
+            a, b, fa, fb, ga, gb, last, dx, dx0, stepped, rows = close(done)
             mid, take = mid[~done], take[~done]
         if not rows.size:
             break
         fm, slope = pair(f(mid, rows))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dx0, dx = np.where(take, dx, b - a), -fm / slope
         right = (fm < 0) == (fb < 0)  # mid replaces b
         # The end kept in place twice in a row has its value halved.
         h = np.where(right == last, 0.5, 1.0)
         fa, fb = np.where(right, h * fa, fm), np.where(right, fm, h * fb)
         ga, gb = np.where(right, ga, fm), np.where(right, fm, gb)
         a, b, last = np.where(right, a, mid), np.where(right, mid, b), right
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx0, dx, stepped = np.where(take, dx, b - a), -fm / slope, take
         done = np.abs(fm) <= tol[rows]
         if done.any():
-            a, b, fa, fb, ga, gb, last, dx, dx0, rows = close(done)
+            a, b, fa, fb, ga, gb, last, dx, dx0, stepped, rows = close(done)
     close(np.ones(rows.size, dtype=bool))
     root, resid = root.reshape(shape), resid.reshape(shape)
     return (float(root), float(resid)) if not shape else (root, resid)
@@ -180,16 +196,18 @@ def _stable_alpha(delta, kappa):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _dw_eval(params: ModelParams, E):
+def _dw_eval(params: ModelParams, E, slope=False):
     """(psi, alpha) of the connection condition at the energies E, floats
-    for a scalar E and arrays for an array of energies.
+    for a scalar E and arrays for an array of energies; with ``slope``
+    also their derivatives (psi', alpha') in E.
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
     roots sit at psi = 2 pi k +- alpha.  Every term comes from one contour
     record cut at the barrier momentum (a single well's is the rim).  Where
     the record's upper lobe is empty (``actions._upper_empty``: at or below
     the upper minimum, a sliver above it, and every single-well energy)
-    Sr = 0 with the whole area in Sl, and kappa = 0.
+    Sr = 0 with the whole area in Sl, and kappa = 0.  The slopes are read
+    from the same record (``_dw_slope``).
     """
     info = act._context(params)
     Er, shaped = act._rows(E)
@@ -201,7 +219,43 @@ def _dw_eval(params: ModelParams, E):
     two, s_eps, kappa = ~empty, np.zeros(len(Er)), np.zeros(len(Er))
     if two.any():
         s_eps[two], kappa[two] = act._tunneling(params, info, Er[two], orb._make(x[two] for x in orb))
-    return shaped(sl + sr + act.phase_correction(s_eps)), shaped(_stable_alpha(sl - sr, kappa))
+    out = (sl + sr + act.phase_correction(s_eps), _stable_alpha(sl - sr, kappa))
+    if slope:
+        out += _dw_slope(params, info, Er, orb, empty, sl - sr, s_eps, kappa)
+    return tuple(shaped(x) for x in out)
+
+
+def _dw_slope(params, info, Er, orb, empty, delta, s_eps, kappa):
+    """(psi', alpha') at the energies Er from their contour record ``orb``.
+
+    (Sl + Sr)' is the total period over 2 hbar, and the lobes' slopes are
+    ``actions._half_periods``: equal in region II, where the two lobes share
+    one period, and split by an incomplete integral at the cut above the
+    barrier.  With Seps' from ``actions._tunneling_slope``, Sphi' =
+    (Re psi(1/2 + i Seps) - log|Seps|) Seps' and kappa' = -pi kappa Seps',
+    and differentiating cos alpha = -cos(delta)/sqrt(1+kappa^2) gives
+    alpha' = -(sin(delta) delta' - pi Seps' cos(delta) kappa^2/(1+kappa^2))
+    / sqrt(sin^2 delta + kappa^2), whose denominator, (sin alpha)
+    sqrt(1+kappa^2), does not cancel at a deep doublet.  Within 1e-6
+    energy scales of the barrier top the log divergences of (Sl + Sr)' and
+    Sphi' cancel, and at the computed top the roundoff-split double root
+    leaves the period finite, so both slopes are NaN there, as on a row
+    without a closed form.
+    """
+    half = act._half_periods(params, orb, info.p_barr) / (2.0 * params.hbar)
+    d_psi = half[:, 0] + half[:, 1]
+    d_delta = np.where(empty, d_psi, half[:, 0] - half[:, 1])
+    two, d_eps = ~empty, np.zeros(len(Er))
+    if two.any():
+        d_eps[two] = act._tunneling_slope(params, orb._make(x[two] for x in orb))
+        d_psi[two] += act._phase_slope(s_eps[two]) * d_eps[two]
+    sin_d = np.sin(delta)
+    with np.errstate(invalid="ignore", over="ignore"):
+        share = kappa * kappa / (1.0 + kappa * kappa)
+        d_alpha = -(sin_d * d_delta - np.pi * d_eps * np.cos(delta) * share) / np.hypot(sin_d, kappa)
+    d_alpha = np.where(kappa <= 1e150, d_alpha, 0.0)  # alpha = pi/2 where kappa overflows
+    near = np.abs(Er - info.e_barr) < 1e-6 * params.energy_scale()
+    return np.where(near, np.nan, d_psi), np.where(near, np.nan, d_alpha)
 
 
 def _phase_grid(params: ModelParams, info: act.BarrierInfo):
@@ -275,13 +329,14 @@ def _bracket_roots(ev, grid, vals, scale):
     lo, target, signs = lo[keep], target[keep], signs[keep]
 
     def f(E, rows):
-        p, a = ev(E)
-        return p - signs[rows] * a - target[rows]
+        p, a, *slope = ev(E)
+        value = p - signs[rows] * a - target[rows]
+        return (value, slope[0] - signs[rows] * slope[1]) if slope else value
 
     # The condition cannot come closer to its target than the target's
     # last bit; past that the steps only walk the roundoff of psi - alpha.
     roots, resid = _bisect(f, grid[lo], grid[lo + 1], fa[keep], fb[keep],
-                           ftol=np.spacing(np.abs(target)))
+                           ftol=np.spacing(np.abs(target)), xtol=1.5e-8 * scale)
     return list(zip(roots.tolist(), zip(target.tolist(), signs.tolist()), resid.tolist()))
 
 
@@ -302,7 +357,8 @@ def quantize_double(params: ModelParams):
     # branch; a branch yields twice only for a root on a grid point, which
     # both neighbouring brackets return.
     found = {}
-    for root, branch, resid in _bracket_roots(lambda E: _dw_eval(params, E), grid, vals, scale):
+    for root, branch, resid in _bracket_roots(lambda E: _dw_eval(params, E, slope=True), grid,
+                                               vals, scale):
         found.setdefault(branch, (root, resid))
     E, resid = np.array(list(found.values())).reshape(-1, 2).T
     return sorted((Level(e, geo.region, geo.orbit_class, r) for e, geo, r in

@@ -3,9 +3,12 @@ to compare two checkouts level by level.
 
     PYTHONPATH=src python tests/level_scan.py OUT.json
         writes each point's levels (as ``repr`` floats), region and
-        orbit-class labels, or the text of the exception it raised;
+        orbit-class labels, or the text of the exception it raised, and
+        the work it took: the calls of the connection condition
+        (``quantize._dw_eval``) and the energies they evaluated (rows);
     python tests/level_scan.py A.json B.json
-        prints the worst level change in mean level spacings, the label
+        prints the worst level change in mean level spacings next to both
+        scans' total condition calls and rows, the label
         differences and the points whose outcome changed, and then, for
         each scan, every level whose labels differ from those that
         ``turning_points`` gives at its energy shifted by -1e-13 or
@@ -36,15 +39,18 @@ SHIFT = 1e-13  # the absolute energy shift of the label stability check
 
 
 def scan():
+    from bosesemi import quantize
     from bosesemi.actions import turning_points
     from bosesemi.model import ModelParams
-    from bosesemi.quantize import semiclassical_spectrum
 
+    rows, real = [], quantize._dw_eval
+    quantize._dw_eval = lambda p, E, **k: rows.append(np.size(E)) or real(p, E, **k)
     out = {}
     for N, g_ns, eps in POINTS:
         params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+        rows.clear()
         try:
-            levels = semiclassical_spectrum(params).levels
+            levels = quantize.semiclassical_spectrum(params).levels
             E = np.array([l.energy for l in levels])
             shifted = [turning_points(params, E + d) for d in (-SHIFT, SHIFT)]
             out[repr((N, g_ns, eps))] = {
@@ -54,7 +60,18 @@ def scan():
                 "shifted": [[[g.region, g.orbit_class] for g in pair] for pair in zip(*shifted)]}
         except Exception as exc:  # an outcome to record, not to stop at
             out[repr((N, g_ns, eps))] = {"error": f"{type(exc).__name__}: {exc}"}
+        out[repr((N, g_ns, eps))].update(calls=len(rows), rows=sum(rows))
+    quantize._dw_eval = real
     return out
+
+
+def work(scan):
+    """The scan's total condition calls and rows, as text; a scan written
+    before they were recorded has none."""
+    if not all("calls" in p for p in scan.values()):
+        return "calls and rows not recorded"
+    return f"{sum(p['calls'] for p in scan.values())} calls, " \
+        f"{sum(p['rows'] for p in scan.values())} rows"
 
 
 def shift_changes(scan):
@@ -91,7 +108,8 @@ def compare(a, b):
                 print(f"{key}: {label} differ at (level, old, new) {diff}")
     print(f"{len(b)} points, {sum('error' in p for p in b.values())} errors; "
           f"levels not bit-identical at {moved}, worst change {worst[0]:.3g} mean spacings "
-          f"at {worst[1]}; {changed} points with a changed outcome or label")
+          f"at {worst[1]} (work: A {work(a)}; B {work(b)}); "
+          f"{changed} points with a changed outcome or label")
     for name, scan in (("A", a), ("B", b)):
         flips = shift_changes(scan)
         for key, n, labels, minus, plus in flips:

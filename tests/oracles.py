@@ -6,6 +6,10 @@ quadrature of the time integral (`period_mp`) check the closed-form
 `period_direct`; the guarded Sturm recurrence is what the
 IEEE sign-bit count of `tridiag._bisect` must reproduce bit for bit; the
 full 2x2 Hessian checks `fixed_points`, which reads only its diagonal;
+50-digit quadratures of the quartic's imaginary half period
+(`gap_period_mp`) and of the half period left of the barrier momentum
+(`left_period_mp`) check the AGM and Carlson R_F forms that give the
+connection condition its slope;
 the arcsine and arccosh forms of the oscillator integrals, and a 40-digit
 bisection on them, check `wavefun`'s Kepler-form inversion of them; the
 plain rule's root walked down to adjacent floats without a slope
@@ -133,34 +137,84 @@ def walked_level(params, n):
     return _bisect(f, e_min, e_max, fa=-target, fb=s_max - target)[0]
 
 
+def _quartic_mp(params, E):
+    """The turning quartic P(s) at E as exact mpmath coefficients (a zero
+    leading coefficient dropped) and its roots, at the working precision."""
+    ns, v, eps = mpmath.mpf(params.Ns), mpmath.mpf(params.v), mpmath.mpf(params.eps)
+    G = mpmath.mpf(params.g) * ns
+    A = mpmath.mpf(E) / ns - G / 2
+    coeffs = [G * G / 4, eps * G, eps * eps - A * G + v * v, -2 * A * eps, A * A - v * v]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs, mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * mpmath.mp.dps)
+
+
+def _between_mp(coeffs, roots, a, c):
+    """The integral of ds / sqrt|P| from the root a to c, where no other
+    root lies, by s = a + (c-a) sin^2 t: that leaves the smooth integrand
+    2 sqrt(c-a) cos t / sqrt|lead prod(s - r)| over the other roots r, or
+    2 / sqrt|lead prod(s - r)| over the roots other than a and c where c
+    is a root too."""
+    tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
+    others = [r for r in roots if abs(r - a) > tiny and abs(r - c) > tiny]
+    end = (lambda t: 1) if len(others) < len(roots) - 1 else \
+        (lambda t: mpmath.sqrt(c - a) * mpmath.cos(t))
+    f = lambda t: 2 * end(t) / mpmath.sqrt(abs(coeffs[0] * mpmath.fprod(
+        [a + (c - a) * mpmath.sin(t) ** 2 - r for r in others])))
+    return mpmath.quad(f, [0, mpmath.pi / 2])
+
+
+def _real_roots_mp(roots):
+    return sorted(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** (-mpmath.mp.dps // 2))
+
+
 def period_mp(params, E, dps=50):
     """The period summed over every allowed segment of the contour at E, as
     a float: hbar times the integral of ds / sqrt(-P(s)), P the turning
     quartic in s = p/(hbar*Ns), at ``dps`` digits.  The coefficients are
-    exact in the float inputs, the roots come from ``mpmath.polyroots``
-    (a zero leading coefficient dropped), and each segment [a, b] between
-    adjacent real roots where -P > 0 is mapped by s = a + (b-a) sin^2 t,
-    which leaves the smooth integrand 2 / sqrt|lead * prod(s - r)| over
-    the other roots r on [0, pi/2]; no step is shared with the AGM."""
+    exact in the float inputs, the roots come from ``mpmath.polyroots``,
+    and each segment [a, b] between adjacent real roots where -P > 0 is
+    integrated by ``_between_mp``; no step is shared with the AGM."""
     with mpmath.workdps(dps):
-        ns, v, eps = mpmath.mpf(params.Ns), mpmath.mpf(params.v), mpmath.mpf(params.eps)
-        G = mpmath.mpf(params.g) * ns
-        A = mpmath.mpf(E) / ns - G / 2
-        coeffs = [G * G / 4, eps * G, eps * eps - A * G + v * v, -2 * A * eps, A * A - v * v]
-        while coeffs[0] == 0:
-            coeffs.pop(0)
-        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps)
-        real = sorted((mpmath.re(r), i) for i, r in enumerate(roots)
-                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** (-dps // 2))
-        total = 0
-        for (a, i), (b, j) in zip(real, real[1:]):
-            if mpmath.polyval(coeffs, (a + b) / 2) >= 0:
-                continue
-            others = [r for n, r in enumerate(roots) if n not in (i, j)]
-            f = lambda t: 2 / mpmath.sqrt(abs(coeffs[0] * mpmath.fprod(
-                [a + (b - a) * mpmath.sin(t) ** 2 - r for r in others])))
-            total += mpmath.quad(f, [0, mpmath.pi / 2])
+        coeffs, roots = _quartic_mp(params, E)
+        real = _real_roots_mp(roots)
+        total = sum(_between_mp(coeffs, roots, a, b) for a, b in zip(real, real[1:])
+                    if mpmath.polyval(coeffs, (a + b) / 2) < 0)
         return float(mpmath.mpf(params.hbar) * total)
+
+
+def left_period_mp(params, E, pb, dps=50):
+    """hbar times the integral of ds / sqrt(-P(s)) over the allowed
+    segments of the contour at E left of the momentum pb, as a float: the
+    slope dS/dE of the area left of pb, at ``dps`` digits, a segment that
+    pb splits integrated from its left root to pb."""
+    with mpmath.workdps(dps):
+        coeffs, roots = _quartic_mp(params, E)
+        real = _real_roots_mp(roots)
+        c = mpmath.mpf(pb) / (mpmath.mpf(params.hbar) * mpmath.mpf(params.Ns))
+        total = sum(_between_mp(coeffs, roots, a, min(b, c)) for a, b in zip(real, real[1:])
+                    if a < c and mpmath.polyval(coeffs, (a + b) / 2) < 0)
+        return float(mpmath.mpf(params.hbar) * total)
+
+
+def gap_period_mp(params, E, dps=50):
+    """The quartic's imaginary half period at E, as a float: the integral
+    of ds / sqrt|P| between the inner turning points, at ``dps`` digits.
+    With four real roots it runs over the middle gap [r2, r3]; with two
+    real roots a < b and a complex pair m +- i n, along the straight path
+    s = m + i n sin t from the lower root to the upper one, on which
+    (s - m)^2 + n^2 = n^2 cos^2 t cancels the path's own factor and leaves
+    the integral over t in [-pi/2, pi/2] of 1 / sqrt(lead (s-a) (s-b))."""
+    with mpmath.workdps(dps):
+        coeffs, roots = _quartic_mp(params, E)
+        real = _real_roots_mp(roots)
+        if len(real) == 4:
+            return float(_between_mp(coeffs, roots, real[1], real[2]))
+        (a, b), z = real, max(roots, key=lambda r: mpmath.im(r))
+        m, n = mpmath.re(z), mpmath.im(z)
+        f = lambda t: 1 / mpmath.sqrt(-coeffs[0] * (m + 1j * n * mpmath.sin(t) - a)
+                                      * (m + 1j * n * mpmath.sin(t) - b))
+        return float(abs(mpmath.quad(f, [-mpmath.pi / 2, 0, mpmath.pi / 2])))
 
 
 def ho_phase(xi, xi0):

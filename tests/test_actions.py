@@ -7,7 +7,7 @@ import pytest
 from bosesemi import actions as act
 from bosesemi import meanfield as mf
 from bosesemi.model import ModelParams
-from oracles import hessian, period_fd, period_mp
+from oracles import gap_period_mp, hessian, left_period_mp, period_fd, period_mp
 
 SUPER21 = ModelParams(N=20, eps=0.0, v=1.0, g=-1.0 / 7.0)
 LINEAR = ModelParams(N=10, eps=0.7, v=1.0, g=0.0)
@@ -446,6 +446,58 @@ def test_region_two_lobes_share_one_period(N, eps):
     left = act.period_direct(params, es, lobe="left")
     assert np.array_equal(left, act.period_direct(params, es, lobe="right"))
     assert np.array_equal(2.0 * left, act.period_direct(params, es, lobe="total"))
+
+
+_SLOPE_SETS = [(20, -3.0, 0.0), (20, -3.0, 0.5), (40, -6.0, 0.3), (40, -12.0, 2.0), (80, -3.0, 0.7)]
+
+
+def _two_lobe_energies(params, n=7):
+    """n energies from the upper well minimum to the top of the spectrum,
+    none within 1e-6 energy scales of the barrier top."""
+    info = act.barrier(params)
+    es = np.linspace(info.e_min_upper, info.e_max, n + 2)[1:-1]
+    return es[np.abs(es - info.e_barr) > 1e-6 * params.energy_scale()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N,g_ns,eps", _SLOPE_SETS)
+def test_imaginary_half_period_against_the_mpmath_oracle(N, g_ns, eps):
+    # dSeps/dE is -1/(2 pi) times the integral of ds/sqrt|P| between the
+    # inner turning points: over the real gap in region II, by the AGM of
+    # the four real roots, and between the complex pair in region III, by
+    # the complementary AGM (measured within 4e-16).
+    params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    es = _two_lobe_energies(params)
+    assert {g.region for g in act.turning_points(params, es)} >= {"III"}
+    got = -2.0 * np.pi * act._tunneling_slope(params, act._orbit(params, es))
+    assert got == pytest.approx([gap_period_mp(params, e) for e in es], rel=1e-13, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N,g_ns,eps", _SLOPE_SETS)
+def test_half_periods_against_the_mpmath_oracle(N, g_ns, eps):
+    # The slopes of the areas on either side of the barrier momentum: the
+    # left one from whole allowed segments and, above the barrier, the
+    # segment the cut splits, integrated from its left root to the cut by
+    # one Carlson R_F (measured within 1.4e-15); the two add up to the
+    # period.
+    params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info, es = act.barrier(params), _two_lobe_energies(params)
+    half = act._half_periods(params, act._orbit(params, es), info.p_barr)
+    left = [left_period_mp(params, e, info.p_barr) for e in es]
+    assert half[:, 0] == pytest.approx(left, rel=1e-13, abs=0)
+    assert half.sum(axis=1) == pytest.approx([period_mp(params, e) for e in es], rel=1e-13, abs=0)
+    single = [act._half_periods(params, act._orbit(params, e), info.p_barr) for e in es]
+    assert np.array_equal(np.concatenate(single), half)
+
+
+def test_carlson_rf_against_mpmath():
+    # Twelve duplication steps reach full precision even for arguments
+    # 1e16 apart, and a conjugate pair gives a real value.
+    mpmath = pytest.importorskip("mpmath")
+    for args in [(1e-16, 0.3 + 0.4j, 0.3 - 0.4j), (0.0, 1.0, 2.0), (2.0, 1e8, 3e15), (1.0, 1.0, 1.0)]:
+        got = complex(act._rf(*(np.complex128(a) for a in args)))
+        assert abs(got - complex(mpmath.elliprf(*args))) <= 2e-15 * abs(got)
 
 
 def test_period_needs_no_quadrature(monkeypatch):

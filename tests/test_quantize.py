@@ -170,7 +170,8 @@ def test_level_refinement_budget(monkeypatch):
     # Each row of the batched quartic solver is one energy evaluated: every
     # refinement step, and for a spectrum every grid pass as well (26.9
     # rows per level at eps=1.5 with the midpoint fallback, 22.4 with the
-    # one-ulp minimal step).  The single level takes one false-position
+    # one-ulp minimal step, 9.1 with Newton steps on the condition's slope;
+    # the bound leaves 10 %).  The single level takes one false-position
     # step and two Newton steps on S and the period (8 Illinois steps
     # without the slope).
     real, rows = act.quartic_rows, []
@@ -179,7 +180,7 @@ def test_level_refinement_budget(monkeypatch):
     assert sum(rows) <= 3
     rows.clear()
     spec = semiclassical_spectrum(TABLE_PARAMS[1.5])
-    assert sum(rows) <= 25 * len(spec)
+    assert sum(rows) <= 10 * len(spec)
     # On a convex function plain false position keeps one end for good
     # and stalls; the Illinois step moves it (60 evaluations with the
     # guarded secant, none converged within 200 without the halving).
@@ -227,6 +228,123 @@ def test_single_levels_straddling_the_barrier(monkeypatch, N, g_ns, eps):
         rows.clear()
         assert abs(quantize_single(p, n) - walked[n]) <= 1e-12 * (e_max - e_min) / N
         assert sum(rows) <= 7
+
+
+def test_single_level_slow_newton_steps_give_way_to_bisection(monkeypatch):
+    # This level lies 0.63 mean spacings below the barrier top, where the
+    # period's log divergence bends S: plain Newton steps hopped across the
+    # root with slowly shrinking size (+1043, -643, +382, -283, ...), 10
+    # contour solves.  A Newton step that does not halve the one before
+    # gives way to the midpoint, rtsafe's other guard: measured 5 solves (7
+    # with the Illinois step in its place).
+    p = ModelParams(N=316, eps=-2.965634713199182, v=1.0, g=-7.077743885141869 / 317)
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
+    level = quantize_single(p, 175)
+    assert sum(rows) <= 6
+    e_min, e_max = act.classical_range(p)
+    assert abs(level - walked_level(p, 175)) <= 1e-12 * (e_max - e_min) / p.N
+
+
+def test_benchmark_states_levels_keep_their_solves(monkeypatch):
+    # The levels of the states benchmark take 3, 4, 3, 3, 3, 3 and 3
+    # contour solves; the halving guard leaves every one of their Newton
+    # steps in place.
+    real, rows = act.quartic_rows, []
+    monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
+    solves = []
+    for N, g_ns, eps, states in ((14, -0.6, 0.6, [0]), (14, -0.9, 0.0, [2]),
+                                 (100, -0.6, 0.6, [0, 1, 2, 3, 4])):
+        p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+        for n in states:
+            rows.clear()
+            quantize_single(p, n)
+            solves.append(sum(rows))
+    assert all(np.array(solves) <= [3, 4, 3, 3, 3, 3, 3])
+
+
+_GUARD_CASES = [(20, -3.0, 0.0), (20, -3.0, 0.5), (40, -6.0, 0.0), (40, -6.0, 0.3)] + \
+    [case for case in _BARRIER_TOP_CASES if case[0] <= 80]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N,g_ns,eps", _GUARD_CASES, ids=[f"{N}-{g}-{eps}" for N, g, eps in _GUARD_CASES])
+def test_condition_slope_guard_at_the_barrier(N, g_ns, eps):
+    # Within 1e-6 energy scales of the barrier top the slope of the
+    # condition is NaN: there the log divergences of the period and of the
+    # connection phase cancel, and at the computed top the roundoff-split
+    # double root leaves the period finite (1.5e8 at N=20, eps=0).  Brackets
+    # with an end at the computed top, around the two levels on either side
+    # of it, close where the slope-free refiner does, to 1e-12 mean
+    # spacings.  At the last five points a level sits on the top to a few
+    # ulp, so the refiner evaluates inside the band, and takes no Newton
+    # step from there.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info, scale = act.barrier(p), p.energy_scale()
+    band = info.e_barr + np.array([-1e-7, -1e-12, 0.0, 1e-12, 1e-7]) * scale
+    assert np.isnan(quantize._dw_eval(p, band, slope=True)[2:]).all()
+    grid, vals = _phase_grid(p, info)
+    plain = np.sort([root for root, *_ in _bracket_roots(lambda E: quantize._dw_eval(p, E),
+                                                         grid, vals, scale)])
+    k = int(np.searchsorted(plain, info.e_barr))
+    ends = np.array([grid[np.searchsorted(grid, plain[k - 1]) - 1], info.e_barr,
+                     grid[np.searchsorted(grid, plain[k])]])
+    seen = []
+
+    def ev(E):
+        out = quantize._dw_eval(p, E, slope=True)
+        seen.extend(zip(E, out[2], out[3]))
+        return out
+
+    ends_vals = quantize._dw_eval(p, ends)
+    newton = np.sort([r for r, *_ in _bracket_roots(ev, ends, ends_vals, scale)])
+    walked = np.sort([r for r, *_ in _bracket_roots(lambda E: quantize._dw_eval(p, E), ends,
+                                                    ends_vals, scale)])
+    spacing = (plain[-1] - plain[0]) / N
+    assert newton.size == walked.size and np.max(np.abs(newton - walked)) <= 1e-12 * spacing
+    for level in plain[k - 1:k + 1]:
+        assert np.min(np.abs(newton - level)) <= 1e-12 * spacing
+    inside = [(dp, da) for E, dp, da in seen if abs(E - info.e_barr) < 1e-6 * scale]
+    assert np.isnan(inside).all()
+    assert len(inside) > 0 or (N, g_ns, eps) in _GUARD_CASES[:4]
+
+
+def _condition_by_differences(params, E, h):
+    """(psi', alpha') at the energies E by central differences of the
+    condition with steps h, h/2 and h/4, and two Richardson steps."""
+    diff = lambda d: (np.array(quantize._dw_eval(params, E + d))
+                      - np.array(quantize._dw_eval(params, E - d))) / (2.0 * d)
+    d1, d2, d4 = diff(h), diff(h / 2), diff(h / 4)
+    return (16.0 * (4.0 * d4 - d2) - (4.0 * d2 - d1)) / 45.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N,g_ns,eps", [(20, -3.0, 1.5), (20, -3.0, 0.5), (40, -6.0, 0.3),
+                                        (40, -12.0, 2.0), (80, -3.0, 0.7)])
+def test_condition_slope_matches_central_differences(N, g_ns, eps):
+    # The closed-form slopes of psi and alpha, in a single well and in
+    # regions I, II and III, 1e-5 energy scales from the barrier top and
+    # farther: within 1e-8 of the slope scale max(|psi'|, |alpha'|), which
+    # sets a Newton step (measured 3e-10 or less).  Each step h is 3 % of
+    # the distance to the top, at most 1e-3 energy scales.  Where the upper
+    # lobe is empty, alpha = arccos(-cos Sl) has a corner at every alpha =
+    # 0 or pi, so energies within 4 steps of one are left out.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info, scale = act._context(p), p.energy_scale()
+    E = np.linspace(info.e_min_lower, info.e_max, 42)[1:-1]
+    if np.isfinite(info.e_barr):
+        E = np.concatenate([E, info.e_barr + np.array([-1e-3, -1e-5, 1e-5, 1e-3]) * scale])
+    h = np.minimum(1e-3 * scale, 0.03 * np.abs(E - info.e_barr))
+    psi, alpha, d_psi, d_alpha = quantize._dw_eval(p, E, slope=True)
+    keep = np.minimum(alpha, np.pi - alpha) > 4.0 * h * np.abs(d_alpha)
+    assert keep.sum() >= 15
+    E, h, d_psi, d_alpha = E[keep], h[keep], d_psi[keep], d_alpha[keep]
+    ref = _condition_by_differences(p, E, h)
+    size = np.maximum(np.abs(d_psi), np.abs(d_alpha))
+    assert np.max(np.abs(d_psi - ref[0]) / size) <= 1e-8
+    assert np.max(np.abs(d_alpha - ref[1]) / size) <= 1e-8
+    regions = {g.region for g in act.turning_points(p, E)}
+    assert regions == ({"single"} if eps == 1.5 else {"I", "II", "III"})
 
 
 def test_refiner_takes_no_step_from_a_slope_that_is_not_finite():
@@ -338,15 +456,33 @@ def test_lockstep_brackets_refine_as_if_alone():
     assert batch[0] == 1 and len(set(batch)) == 3  # measured 1, 11 and 9
 
 
+def _condition_rows(monkeypatch, params):
+    """The energies of each condition call that the spectrum makes."""
+    real, rows = quantize._dw_eval, []
+    monkeypatch.setattr(quantize, "_dw_eval",
+                        lambda p, E, **k: rows.append(np.size(E)) or real(p, E, **k))
+    assert len(semiclassical_spectrum(params)) == params.N + 1
+    return rows
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
 def test_condition_evaluations_per_spectrum(monkeypatch, eps):
     # Each grid pass and each lockstep refinement step is one call of the
-    # condition, and the refiner's own residuals leave no final call
-    # (31-35 calls with the midpoint fallback and a residual call).
-    real, calls = quantize._dw_eval, []
-    monkeypatch.setattr(quantize, "_dw_eval", lambda p, E: calls.append(1) or real(p, E))
-    assert len(semiclassical_spectrum(TABLE_PARAMS[eps])) == 21
-    assert len(calls) <= 12
+    # condition, and the refiner's own residuals leave no final call.
+    # Illinois steps alone took 8-10 calls and 226-243 rows; with Newton
+    # steps on the condition's slope, measured 4, 4, 6 and 4 calls and 169,
+    # 168, 180 and 170 rows.  Bounds: 6 calls, the largest measured, and
+    # 190 rows, a margin of 5 % or more.
+    rows = _condition_rows(monkeypatch, TABLE_PARAMS[eps])
+    assert len(rows) <= 6
+    assert sum(rows) <= 190
+
+
+def test_condition_rows_at_n80(monkeypatch):
+    # 857 rows with Illinois steps alone, 654 with Newton steps (5 calls).
+    rows = _condition_rows(monkeypatch, ModelParams(N=80, eps=0.7, v=1.0, g=-3.0 / 81))
+    assert len(rows) <= 6
+    assert sum(rows) <= 700
 
 
 @pytest.mark.parametrize("N, eps", [(1, 1000.0), (5, 1000.0), (20, 300.0)])
@@ -368,7 +504,8 @@ def test_phase_grid_row_budget(monkeypatch, N, eps):
     # splitting of that start needs at least 135 rows at eps=1.0.
     p = ModelParams(N=N, eps=eps, v=1.0, g=-3.0 / (N + 1))
     real, rows = quantize._dw_eval, []
-    monkeypatch.setattr(quantize, "_dw_eval", lambda q, E: rows.append(np.size(E)) or real(q, E))
+    monkeypatch.setattr(quantize, "_dw_eval",
+                        lambda q, E, **k: rows.append(np.size(E)) or real(q, E, **k))
     _phase_grid(p, act._context(p))
     assert sum(rows) <= 7 * (N + 1) + 1
 

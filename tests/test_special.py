@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bosesemi.actions import phase_correction
-from bosesemi.special import arg_gamma_half_line, log_gamma
+from bosesemi.special import _re_digamma_half_line, arg_gamma_half_line, log_gamma
 
 
 @pytest.mark.parametrize("x", [0.01, 0.1, 0.5, 1.0, 5.0, 10.0])
@@ -62,3 +62,15 @@ def test_log_gamma_domain_is_the_right_half_plane():
     with pytest.raises(ValueError):
         log_gamma(np.array([0.5 + 1j, 0.49 - 2j]))
     assert log_gamma(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_digamma_half_line_against_scipy():
+    # The derivative of the Lanczos series: within 1e-13 over eleven
+    # decades (measured 5.8e-14 absolute, near x = 10, where Re psi = 2.3).
+    psi = pytest.importorskip("scipy.special").psi
+    x = np.logspace(-8, 3, 1000)
+    ref = psi(0.5 + 1j * x).real
+    assert np.max(np.abs(_re_digamma_half_line(x) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+    assert np.array_equal(_re_digamma_half_line(-x), _re_digamma_half_line(x))
+    assert _re_digamma_half_line(0.0) == pytest.approx(-np.euler_gamma - 2.0 * np.log(2.0), rel=1e-13)
