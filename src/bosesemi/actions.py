@@ -601,9 +601,11 @@ def _tunneling_slope(params: ModelParams, orb: _Contour):
     k = np.abs(orb.lead)
     r = np.sort(np.where(cplx, np.inf, roots.real), axis=1)  # the real roots first
     with np.errstate(invalid="ignore"):
-        below = np.sqrt(k) * _agm(np.sqrt((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])),
-                                  np.sqrt((r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])))
         z = roots[np.arange(len(k)), np.argmax(cplx, axis=1)]
         A, B = np.sqrt(k) * np.abs(r[:, 0] - z), np.sqrt(k) * np.abs(r[:, 1] - z)
-        above = _agm(np.sqrt(A * B), 0.5 * np.sqrt(k * (r[:, 1] - r[:, 0]) ** 2 - (A - B) ** 2))
-    return -0.5 / np.select([ncplx == 0, ncplx == 2], [below, above], np.nan)
+        # Both patterns' AGMs in one call: below the top, then above it.
+        below, above = _agm(
+            np.stack([np.sqrt((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])), np.sqrt(A * B)]),
+            np.stack([np.sqrt((r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])),
+                      0.5 * np.sqrt(k * (r[:, 1] - r[:, 0]) ** 2 - (A - B) ** 2)]))
+    return -0.5 / np.select([ncplx == 0, ncplx == 2], [np.sqrt(k) * below, above], np.nan)

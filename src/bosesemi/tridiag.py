@@ -7,7 +7,8 @@ the whole linear-algebra core of the exact side.
   matrix while it fits in 1 MB (n <= 350); above that, Sturm-count bisection
   (LAPACK's ``dstebz``) in O(n) memory, the pivots counted by their IEEE
   sign bits (Demmel, Dhillon and Ren 1995; Marques, Riedy and Voemel 2006,
-  LAPACK's ``dlaneg``).
+  LAPACK's ``dlaneg``): two numpy calls per row for all shifts at once,
+  and one sign-bit count per block of 32 rows.
 - A histogram of the eigenvalues: the same Sturm count at the bin edges,
   after the two extreme eigenvalues, so the level densities never compute
   the spectrum.
@@ -88,30 +89,42 @@ def _sturm(d, e):
     array x.  The pivots are unguarded and counted by their IEEE sign bits
     (Demmel, Dhillon and Ren, ETNA 3, 116, 1995; Marques, Riedy and Voemel,
     SIAM J. Sci. Comput. 28, 1613, 2006): a zero pivot makes the next one
-    infinite, and the pair still counts one negative pivot."""
+    infinite, and the pair still counts one negative pivot.
+
+    The rows go in blocks of 32.  One subtraction fills rows 1-32 of a
+    buffer with a block's d - x; each pivot then takes one division and
+    one subtraction in place, and one sign-bit count covers the block.
+    Row 0 carries the previous block's last pivot.  A pivot that no
+    coupling follows (one before a zero e, and the last) is not divided
+    by, and counts if it is below pivmin, as in LAPACK."""
     e2 = e**2
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
     pivmin = np.finfo(float).tiny * np.max(e2, initial=1.0)
-    rows = list(zip(d[1:].tolist(), e2.tolist()))
-    blocks = [rows[s : s + 32] for s in range(0, e.size, 32)]
+    into, after = np.append(0.0, e2), np.append(e2, 0.0)  # each row's couplings
+    # Per block: d, the (row, coupling into it) of each nonzero coupling,
+    # as 0-d arrays that numpy need not convert on every call, and the
+    # rows that no coupling follows.
+    blocks = [(d[s : s + 32],
+               [(j, np.array(c)) for j, c in enumerate(into[s : s + 32].tolist(), 1) if c],
+               (np.flatnonzero(after[s : s + 32] == 0.0) + 1).tolist())
+              for s in range(0, d.size, 32)]
 
     @np.errstate(divide="ignore", over="ignore")
     def count(x):
-        q, r, signs = np.empty(x.size), np.empty(x.size), np.empty((32, x.size), dtype=bool)
-        np.subtract(d[0], x, out=q)
-        total = np.zeros(x.size, dtype=int)
-        for block in blocks:
-            for sign, (di, e2i) in zip(signs, block):
-                if e2i:
-                    np.signbit(q, out=sign)
-                    np.divide(e2i, q, out=r)
-                    np.subtract(di, x, out=q)
-                    q -= r
-                else:  # no pivot follows from q: it counts if q < pivmin
-                    np.less(q, pivmin, out=sign)
-                    np.subtract(di, x, out=q)
-            total += np.count_nonzero(signs[: len(block)], axis=0)
-        return total + (q < pivmin)  # the last pivot, likewise
+        q, r, neg = np.empty((33, x.size)), np.empty(x.size), np.empty((32, x.size), dtype=bool)
+        rows, total = list(q), np.zeros(x.size, dtype=int)
+        for dk, steps, ends in blocks:
+            k = dk.size
+            np.subtract.outer(dk, x, out=q[1 : k + 1])
+            for j, c in steps:
+                np.divide(c, rows[j - 1], r)
+                np.subtract(rows[j], r, rows[j])
+            np.signbit(q[1 : k + 1], out=neg[:k])
+            for j in ends:
+                np.less(rows[j], pivmin, out=neg[j - 1])
+            total += np.count_nonzero(neg[:k], axis=0)
+            q[0] = q[k]
+        return total
 
     return count, np.min(d - radius), np.max(d + radius)
 

@@ -22,7 +22,12 @@ The groups:
                   change to one form shows which form moved;
     trajectory    ``integrate_trajectory`` on a run that hits the rim and
                   on one that does not;
-    gpe           ``gpe_propagate`` from one phase-space point.
+    gpe           ``gpe_propagate`` from one phase-space point;
+    density       ``level_density`` edges and heights in 60 bins at g*Ns =
+                  -3, v = 1, N in {400, 800, 1100, 1500} x eps in {1, 0}
+                  (the Sturm count at the bin edges, after the extremes);
+    sturm_spectrum ``exact_spectrum`` at N = 400 and 1500, g*Ns = -3,
+                  eps = 1 (full-spectrum Sturm bisection).
 
 The package is imported from PYTHONPATH, so the same script hashes any
 checkout; without it, the ``src`` next to this file is used.  A run
@@ -48,6 +53,7 @@ PERIOD_POINTS = [(20, -3.0, 0.5), (100, -0.6, 0.6), (400, -3.0, 1.0)]
 # (N, g*Ns, eps, states, states with a uniform form), as the ``states`` workload asks.
 STATE_POINTS = [(14, -0.6, 0.6, [0], {0}), (14, -0.9, 0.0, [2], {2}),
                 (100, -0.6, 0.6, [0, 1, 2, 3, 4], {0, 1, 2, 3, 4})]
+DENSITY_POINTS = [(N, eps) for N in (400, 800, 1100, 1500) for eps in (1.0, 0.0)]
 
 
 def _params(N, g_ns, eps, v=1.0):
@@ -93,6 +99,7 @@ def _digest(values):
 def hashes():
     from bosesemi import actions as act
     from bosesemi import meanfield as mf
+    from bosesemi import quantum as qm
     from bosesemi import wavefun as wf
 
     def period(params):
@@ -126,6 +133,9 @@ def hashes():
                                t_final=20.0, dt=1e-3)
         return [out.t, out.psi]
 
+    def sturm_spectrum(N):
+        return qm.exact_spectrum(_params(N, -3.0, 1.0)).energies
+
     groups = {
         "fixed_points": fixed_points,
         "period": lambda: [_outcome(period, _params(*point)) for point in PERIOD_POINTS],
@@ -133,6 +143,9 @@ def hashes():
         "uniform": lambda: states(wf.uniform_wavefunction, uniform_only=True),
         "trajectory": trajectories,
         "gpe": gpe,
+        "density": lambda: [_outcome(qm.level_density, _params(N, -3.0, eps), 60)
+                            for N, eps in DENSITY_POINTS],
+        "sturm_spectrum": lambda: [_outcome(sturm_spectrum, N) for N in (400, 1500)],
     }
     return {name: _digest(make()) for name, make in groups.items()}
 

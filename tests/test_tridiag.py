@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from bosesemi import tridiag
 from bosesemi.model import ModelParams
-from bosesemi.quantum import build_hamiltonian, exact_spectrum
+from bosesemi.quantum import build_hamiltonian, exact_spectrum, level_density
 from bosesemi.tridiag import tridiag_eigh
 from oracles import sturm_bisect_guarded, sturm_count_guarded
 
@@ -147,8 +148,9 @@ def test_parity_states_at_reflection_symmetric_matrix():
 
 def test_eigenvalues_alone_need_no_dense_matrix():
     # A dense 1001x1001 matrix takes 8 MB; bisection keeps O(n) arrays and
-    # a 32-row block of sign bits, and the dense route is taken only while
-    # its matrix fits the bound.
+    # a 32-row block of pivots and of their sign bits (about 400 kB at 1501
+    # shifts), and the dense route is taken only while its matrix fits the
+    # bound.
     for n in (*_switch_sizes(), 1001, 1501):
         ham = build_hamiltonian(ModelParams(N=n - 1, eps=1.0, v=1.0, g=-3.0 / n))
         tracemalloc.start()
@@ -181,11 +183,8 @@ def test_sturm_count_equals_guarded_recurrence_bit_for_bit():
         assert np.array_equal(tridiag._bisect(d, e), sturm_bisect_guarded(d, e)), d.size
 
 
-def test_full_spectrum_sturm_count_budget(monkeypatch):
-    # Values-only exact_spectrum above the dense route's last size is one
-    # Sturm count per halving, all n levels at once: measured 52 counts of
-    # 1501 shifts each (78,052) at N = 1500.  No benchmark workload times
-    # this path, so its budget is kept here.
+def _counted_shifts(monkeypatch):
+    """The number of shifts of every Sturm count made from now on."""
     real, shifts = tridiag._sturm, []
 
     def counted_sturm(d, e):
@@ -193,10 +192,31 @@ def test_full_spectrum_sturm_count_budget(monkeypatch):
         return (lambda x: shifts.append(x.size) or count(x)), lo, hi
 
     monkeypatch.setattr(tridiag, "_sturm", counted_sturm)
+    return shifts
+
+
+def test_full_spectrum_sturm_count_budget(monkeypatch):
+    # Values-only exact_spectrum above the dense route's last size is one
+    # Sturm count per halving, all n levels at once: measured 52 counts of
+    # 1501 shifts each (78,052) at N = 1500.  No benchmark workload times
+    # this path, so its budget is kept here.
+    shifts = _counted_shifts(monkeypatch)
     w = exact_spectrum(ModelParams(N=1500, eps=1.0, v=1.0, g=-3.0 / 1501)).energies
     assert w.size == 1501
     assert len(shifts) <= 56
     assert sum(shifts) <= 56 * 1501
+
+
+def test_histogram_sturm_count_budget(monkeypatch):
+    # The level density at N = 1500 (the benchmark's largest) bisects for
+    # its two extremes 6 halvings per count, ceil(52 / 6) = 9 counts of at
+    # most 2 (2**6 - 1) = 126 shifts, and then counts once at the 59
+    # interior bin edges.
+    shifts = _counted_shifts(monkeypatch)
+    density = level_density(ModelParams(N=1500, eps=1.0, v=1.0, g=-3.0 / 1501), 60)
+    assert density.heights.size == 60
+    assert len(shifts) == math.ceil(np.finfo(float).nmant / tridiag._TREE_DEPTH) + 1 == 10
+    assert max(shifts) <= 2 * (2**tridiag._TREE_DEPTH - 1) == 126
 
 
 def test_reducible_matrices_on_the_sturm_route():
@@ -242,3 +262,53 @@ def test_sturm_kernel_counts_equal_guarded_count():
         x = np.concatenate([np.arange(np.floor(lo) - 1.0, hi + 1.5, 0.5), d,
                             np.linalg.eigvalsh(dense(d, e))])
         assert np.array_equal(count(x), sturm_count_guarded(d, e, x)), d.size
+
+
+def _seam_matrices():
+    """Matrices whose 32-row Sturm blocks meet at a pivot that matters:
+    random ones of the sizes around one and two blocks, and d = 1, e = 1
+    with d[0] = 1 or 0, whose pivots at x = 0 run 1, 0, -inf (or 0, -inf,
+    1) with period 3, so that the pivot carried from the first block (row
+    31) or from the second (row 63) is exactly zero.  Each comes with all
+    couplings and with e[30], e[31], e[32] and e[63] (where they exist)
+    set to zero."""
+    rng = np.random.default_rng(4)
+    cases = [(rng.normal(size=n), rng.normal(size=n - 1))
+             for n in (1, 2, 31, 32, 33, 34, 64, 65, 66)]
+    for first in (1.0, 0.0):
+        d = np.ones(66)
+        d[0] = first
+        cases.append((d, np.ones(65)))
+    for d, e in cases[:]:
+        split = e.copy()
+        split[[i for i in (30, 31, 32, 63) if i < e.size]] = 0.0
+        cases.append((d, split))
+    return cases
+
+
+def _pivots(d, e, x):
+    """The unguarded pivots of T - x I at one shift x."""
+    q = [d[0] - x]
+    with np.errstate(divide="ignore"):
+        for di, ei in zip(d[1:], e):
+            q.append(di - x - ei**2 / q[-1] if ei else di - x)
+    return np.array(q)
+
+
+def test_sturm_count_across_block_seams():
+    # Where one 32-row block of the Sturm kernel ends and the next begins
+    # (the carried pivot, a zero coupling on either side of the seam, a
+    # last block of one or two rows), the count equals the guarded
+    # recurrence's bit for bit at every shift, without a warning.
+    assert _pivots(np.ones(66), np.ones(65), 0.0)[31] == 0.0
+    d0 = np.ones(66)
+    d0[0] = 0.0
+    assert _pivots(d0, np.ones(65), 0.0)[63] == 0.0
+    for d, e in _seam_matrices():
+        count, lo, hi = tridiag._sturm(d, e)
+        x = np.concatenate([np.arange(np.floor(lo) - 1.0, hi + 1.5, 0.5), d,
+                            np.linalg.eigvalsh(dense(d, e)), np.linspace(lo, hi, 101)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = count(x)
+        assert np.array_equal(got, sturm_count_guarded(d, e, x)), (d.size, np.sum(e == 0))
