@@ -14,15 +14,16 @@ upper well minimum, wherever that lobe is still too narrow to resolve,
 and at every energy of a single well, which is the landscape without an
 upper lobe.  Writing the condition as Sl + Sr + Sphi = 2 pi k +- alpha(E)
 with alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2)) turns root finding
-into bracketing of monotone-ish phase functions, which resolves the
+into bracketing of the branches psi -+ alpha, non-decreasing in E but
+for a drop where the upper lobe opens, which resolves the
 near-degenerate tunneling doublets a naive sign scan of the condition
 would miss (at a deep doublet it dips below zero by only O(kappa^2)).
 
-The condition is evaluated on energy arrays: each bisection pass of the
-sampling grid is one ``_dw_eval`` call, and the one refiner, ``_bisect``,
-takes every bracketed root in lockstep, one call per step.  Its calls
-also read the condition's exact slope from the same contour record
-(``_dw_slope``), so its steps are Newton steps, safeguarded by
+The condition is evaluated on energy arrays: the sampling grid, one
+energy per level, is one ``_dw_eval`` call, and the one refiner,
+``_bisect``, takes every bracketed root in lockstep, one call per step.
+Its calls also read the condition's exact slope from the same contour
+record (``_dw_slope``), so its steps are Newton steps, safeguarded by
 bisection and false position, and a spectrum takes 4-6 calls in all.
 ``quantize_single`` hands it the slope of the plain rule, the period,
 likewise: three or so contour solves per level.
@@ -262,41 +263,23 @@ def _phase_grid(params: ModelParams, info: act.BarrierInfo):
     """Energies from just above the lower well minimum to just below the
     top of the spectrum, with the condition's (psi, alpha) at each.
 
-    The grid starts from 4(N+1) even steps, a few per level, and the
-    upper well minimum: a lower-well level can sit on it, and only the
-    condition's value right there brackets that level.  Intervals are
-    split until neither psi nor alpha steps by more than 0.75 between
-    neighbours, so the branches psi -+ alpha step by at most 1.5, and a
-    doublet's alpha swing is sampled as finely as psi.
+    The grid is N+1 even energies, one per level, and the upper well
+    minimum: a lower-well level can sit on it, and only the condition's
+    value right there brackets that level.  Each branch psi -+ alpha is
+    non-decreasing in E on either side of the upper minimum, where it
+    jumps down as the upper lobe opens, so an interval holds at most one
+    root per target 2 pi k, and the refiner's Newton steps need no finer
+    sampling.
     """
     scale = params.energy_scale()
     e_lo = info.e_min_lower + max(1e-9 * scale, 1e-11)
     # Stay clear of the very top, where the outer turning points pinch the
     # above-barrier contour; the highest level sits ~pi/2 in phase below.
     e_hi = info.e_max - 1e-8 * scale
-    grid = np.linspace(e_lo, e_hi, 4 * (params.N + 1))
+    grid = np.linspace(e_lo, e_hi, params.N + 1)
     if e_lo < info.e_min_upper < e_hi:
         grid = np.sort(np.append(grid, info.e_min_upper))
-
-    psi, alpha = _dw_eval(params, grid)
-    for _ in range(24):
-        # An interval splits into as many equal parts as its larger step
-        # needs to come under 0.75, the fewest points that can do it.
-        step = np.maximum(np.abs(np.diff(psi)), np.abs(np.diff(alpha)))
-        parts = np.where(np.diff(grid) > 1e-12 * scale, np.fmax(np.ceil(step / 0.75), 1.0), 1.0)
-        if (parts == 1).all():
-            break
-        # The new energies lie strictly inside their intervals, each wider
-        # than 1e-12 energy scales.
-        i = np.repeat(np.arange(parts.size), (parts - 1).astype(int))
-        frac = (np.arange(i.size) - np.searchsorted(i, i) + 1) / parts[i]
-        new = grid[i] + frac * (grid[i + 1] - grid[i])
-        grid = np.concatenate([grid, new])
-        order = np.argsort(grid)
-        grid = grid[order]
-        psi, alpha = (np.concatenate([old, add])[order]
-                      for old, add in zip((psi, alpha), _dw_eval(params, new)))
-    return grid, (psi, alpha)
+    return grid, _dw_eval(params, grid)
 
 
 def _bracket_roots(ev, grid, vals, scale):

@@ -436,6 +436,19 @@ def test_period_against_the_mpmath_oracle(params):
         assert act.period_direct(params, es, lobe="total") == pytest.approx(ref, rel=rtol, abs=0)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "near the rim the area quadrature's roundoff plateau exits early, at the "
+    "64-interval rule, so the action's difference quotient is off by 7.5e-5"))
+def test_action_slope_near_the_rim():
+    # A single-well orbit whose allowed segment [-164.758, 381.99999676]
+    # ends 3.2e-6 below p_max = 382.  The closed-form period matches the
+    # oracle to 2e-16, but dS/dE by differences of the action does not:
+    # the 64-interval area is 4.6e-6 above the 512-4096-interval one.
+    p = ModelParams(N=381, eps=0.9900651227673105, v=1.0, g=-1.265411884483532 / 382)
+    E = -105.13272688
+    assert period_fd(p, E, lobe="total") == pytest.approx(period_mp(p, E), rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("N,eps", [(20, 0.0), (20, 0.5), (400, 1.0)])
 def test_region_two_lobes_share_one_period(N, eps):
     # The quartic's two real cycles are homologous, so in region II both

@@ -102,3 +102,37 @@ def test_newton_spectrum_matches_the_slope_free_spectrum(N, g_ns, eps):
     with mock.patch.object(quantize, "_dw_slope", _no_slope):
         plain = semiclassical_spectrum(p).energies
     assert np.max(np.abs(newton - plain)) <= 1e-12 * (plain[-1] - plain[0]) / N
+
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "level 82 passes 3.4e-7 from the rim, where the area quadrature's slope is "
+    "3.2e-6 off the closed-form period that the Newton steps use"))
+def test_newton_level_near_the_rim_matches_the_slope_free_level():
+    # A double well whose Newton level stands 2.7e-12 spacings off the
+    # slope-free root on the N+1-point grid (6.7e-14 on the split grid).
+    test_newton_spectrum_matches_the_slope_free_spectrum.hypothesis.inner_test(
+        153, -4.820437860113978, -2.0750549823434628)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(N=st.integers(1, 600),
+       g_ns=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
+       eps=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+@example(N=1, g_ns=-3.0, eps=0.2)
+@example(N=10, g_ns=-3.0, eps=1.05)
+@example(N=20, g_ns=-3.0, eps=1.5)
+def test_phase_grid_branches_do_not_drop(N, g_ns, eps):
+    # The N+1-point grid brackets every level only because neither branch
+    # psi -+ alpha decreases between neighbours.  The interval from the
+    # upper well minimum is exempt: just above it the upper lobe opens and
+    # a branch jumps down (by 0.21 at the second example, on a fine scan).
+    # Measured drops elsewhere were roundoff, at most 4.3e-9 (the first
+    # example) over 303 parameter sets; bound 1e-7.
+    p = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
+    info = act._context(p)
+    grid, (psi, alpha) = quantize._phase_grid(p, info)
+    opens = grid[:-1] == info.e_min_upper
+    for sign in (1.0, -1.0):
+        assert np.all((np.diff(psi - sign * alpha) >= -1e-7) | opens)
+    assert len(semiclassical_spectrum(p)) == N + 1

@@ -194,13 +194,15 @@ def test_rule_memory_is_linear_in_nodes():
 
 
 def test_batched_condition_equals_per_energy_calls():
-    # Output must not depend on how energies are grouped into batches.
+    # Output must not depend on how energies are grouped into batches: the
+    # phase grid's one call, and 18 energies spread over its range.
     grid, (psi, alpha) = qz._phase_grid(SUPER21, act.barrier(SUPER21))
-    picks = grid[::7]
+    single = np.array([qz._dw_eval(SUPER21, e) for e in grid])
+    assert np.allclose(np.column_stack([psi, alpha]), single, rtol=1e-14, atol=0.0)
+    picks = np.linspace(grid[0], grid[-1], 18)
     single = np.array([qz._dw_eval(SUPER21, e) for e in picks])
     batch = np.array(qz._dw_eval(SUPER21, picks)).T
     assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
-    assert np.allclose(np.column_stack([psi, alpha])[::7], single, rtol=1e-14, atol=0.0)
 
 
 def test_grid_pass_memory_is_bounded():

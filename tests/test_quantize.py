@@ -467,22 +467,23 @@ def _condition_rows(monkeypatch, params):
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5])
 def test_condition_evaluations_per_spectrum(monkeypatch, eps):
-    # Each grid pass and each lockstep refinement step is one call of the
+    # The grid and each lockstep refinement step is one call of the
     # condition, and the refiner's own residuals leave no final call.
-    # Illinois steps alone took 8-10 calls and 226-243 rows; with Newton
-    # steps on the condition's slope, measured 4, 4, 6 and 4 calls and 169,
-    # 168, 180 and 170 rows.  Bounds: 6 calls, the largest measured, and
-    # 190 rows, a margin of 5 % or more.
+    # Illinois steps alone took 8-10 calls and 226-243 rows; Newton steps
+    # on a split grid 4-6 calls and 168-180 rows; on the N+1-point grid,
+    # measured 4, 4, 5 and 5 calls and 76, 76, 82 and 87 rows.  Bounds:
+    # 5 calls, the largest measured, and 92 rows, a margin of 5 %.
     rows = _condition_rows(monkeypatch, TABLE_PARAMS[eps])
-    assert len(rows) <= 6
-    assert sum(rows) <= 190
+    assert len(rows) <= 5
+    assert sum(rows) <= 92
 
 
 def test_condition_rows_at_n80(monkeypatch):
-    # 857 rows with Illinois steps alone, 654 with Newton steps (5 calls).
+    # 857 rows with Illinois steps alone, 654 with Newton steps on a split
+    # grid (5 calls), 265 on the N+1-point grid (4 calls).
     rows = _condition_rows(monkeypatch, ModelParams(N=80, eps=0.7, v=1.0, g=-3.0 / 81))
-    assert len(rows) <= 6
-    assert sum(rows) <= 700
+    assert len(rows) <= 4
+    assert sum(rows) <= 280
 
 
 @pytest.mark.parametrize("N, eps", [(1, 1000.0), (5, 1000.0), (20, 300.0)])
@@ -498,16 +499,15 @@ def test_linear_model_at_strong_bias(N, eps):
 
 @pytest.mark.parametrize("N,eps", [(20, 0.0), (20, 0.5), (20, 1.0), (20, 1.5), (80, 0.7)])
 def test_phase_grid_row_budget(monkeypatch, N, eps):
-    # The grid starts from 4(N+1) energies and splits only the intervals
-    # where psi or alpha steps by more than 0.75.  Measured 126-137 rows
-    # at N=20 and 492 at N=80; a 16(N+1) start took 337 and 1297.  Any
-    # splitting of that start needs at least 135 rows at eps=1.0.
+    # The grid is one condition call: N+1 even energies, and the upper
+    # well minimum where it lies inside.  Split passes from a 4(N+1)
+    # start took 126-137 rows at N=20 and 492 at N=80.
     p = ModelParams(N=N, eps=eps, v=1.0, g=-3.0 / (N + 1))
     real, rows = quantize._dw_eval, []
     monkeypatch.setattr(quantize, "_dw_eval",
                         lambda q, E, **k: rows.append(np.size(E)) or real(q, E, **k))
     _phase_grid(p, act._context(p))
-    assert sum(rows) <= 7 * (N + 1) + 1
+    assert len(rows) == 1 and rows[0] in (N + 1, N + 2)
 
 
 def test_doublet_splittings():
@@ -616,8 +616,8 @@ def test_printed_condition_variant_misses_doublets():
     # The variant with the tunneling factor multiplying the right-hand
     # cosine cannot reproduce the near-degenerate pairs.
     p = TABLE_PARAMS[0.0]
-    scale = p.energy_scale()
-    grid, _ = _phase_grid(p, act.barrier(p))
+    info, scale = act.barrier(p), p.energy_scale()
+    grid = np.linspace(info.e_min_lower + 1e-9 * scale, info.e_max - 1e-8 * scale, 127)
     ev = lambda E: tuple(np.array(v) for v in zip(*[_rhs_kappa_condition(p, e) for e in E]))
     found = sorted(root for root, *_ in _bracket_roots(ev, grid, ev(grid), scale))
     roots = []

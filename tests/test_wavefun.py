@@ -96,7 +96,7 @@ def test_primitive_interior_node_count(n):
     E = quantize_single(SYM14, n)
     lo, hi = wf._orbit_interval(SYM14, E)
     ps = np.linspace(lo.p + 1e-7, hi.p - 1e-7, 4001)
-    phases = np.array([wf.action_phase(SYM14, E, p) for p in ps]) / SYM14.hbar
+    phases = wf.action_phase(SYM14, E, ps) / SYM14.hbar
     signs = np.sign(np.cos(phases - 0.25 * np.pi))
     crossings = int(np.sum(signs[1:] * signs[:-1] < 0))
     assert crossings == n
