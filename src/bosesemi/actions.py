@@ -235,16 +235,10 @@ def _speed_bracket(params: ModelParams, orb: _Contour, p):
     return -params.Ns ** 2 * q.real
 
 
-def _upper_empty(info: BarrierInfo, E, orb: _Contour):
-    """Where the upper lobe of the contours ``orb`` at E is empty: up to the
-    upper minimum, below the barrier on one component, and in a single well."""
-    return (E <= info.e_min_upper) | ((E < info.e_barr) & (_ncomp(orb) < 2))
-
-
 def turning_points(params: ModelParams, E):
     """Turning points with branch labels plus orbit classification; a
     tuple of ``OrbitGeometry``, one per energy, for an array E.  Below the
-    barrier, region I has an empty upper lobe (``_upper_empty``) and II is
+    barrier, region I has an empty upper lobe (``_halves``) and II is
     the ``double_well_pair``; other classes are the off-rim branch set,
     and a point orbit has none."""
     return _turning_points(params, E)
@@ -271,7 +265,7 @@ def _turning_points(params: ModelParams, E, orb: _Contour | None = None):
     interior = kept & (np.abs(np.abs(orb.tp) - pmax) > 1e-9 * pmax)
     use = np.where(interior.any(axis=1)[:, None], interior, kept)
     minus, plus = (use & ~orb.upper).any(axis=1), (use & orb.upper).any(axis=1)
-    two = (Ein < info.e_barr) & ~_upper_empty(info, Ein, orb)
+    two = (Ein < info.e_barr) & ~_halves(params, Ein, orb).empty
     klass = np.where(two, "double_well_pair", np.where(
         minus == plus, "rotor", np.where(minus, "min_encircling", "max_encircling")))
     # A point orbit (at a well bottom or the top) has no turning point and no class.
@@ -288,31 +282,56 @@ def _turning_points(params: ModelParams, E, orb: _Contour | None = None):
     return out[0] if np.ndim(E) == 0 else out
 
 
-def _halves(orb: _Contour, pb):
-    """The contours cut at momentum pb: every segment clipped to p <= pb
-    and to p >= pb, as (a, b, kind), each of shape (rows, 2, 5) with the
-    left half first.  Below the barrier its momentum lies in the
-    forbidden gap, where min_q H = e_barr > E, so a cut there parts the
-    two lobes."""
+class _Halves(NamedTuple):
+    """``_halves``' (a, b, kind), each (rows, 2, 5), and its ``empty`` rows."""
+    a: np.ndarray
+    b: np.ndarray
+    kind: np.ndarray
+    empty: np.ndarray
+
+
+def _halves(params: ModelParams, E, orb: _Contour) -> _Halves:
+    """The one split of the contours ``orb`` at the energies E: every
+    segment clipped to p <= p_barr and to p >= p_barr, the left half
+    first.  Below the barrier its momentum lies in the forbidden gap, where
+    min_q H = e_barr > E, so the cut parts the two lobes; above it the cut
+    puts the saddle's log singularity at a segment end.  The upper lobe is
+    ``empty`` up to the upper minimum, below the barrier on one component,
+    and in a single well; its half, on the upper minimum's side (a single
+    well's right), then holds only empty segments, so a roundoff sliver
+    there is never integrated."""
+    info = _context(params)
+    pb = info.p_barr
     lo, hi = np.array([[-np.inf], [pb]]), np.array([[pb], [np.inf]])
     clip = lambda x: np.minimum(np.maximum(x[:, None], lo), hi)
-    return clip(orb.a), clip(orb.b), np.repeat(orb.kind[:, None], 2, axis=1)
+    empty = (E <= info.e_min_upper) | ((E < info.e_barr) & (_ncomp(orb) < 2))
+    kind = np.repeat(orb.kind[:, None], 2, axis=1)
+    kind[empty, int(info.p_min_upper >= pb)] = _EMPTY
+    return _Halves(clip(orb.a), clip(orb.b), kind, empty)
 
 
-def _half_areas(params, E, orb: _Contour, pb):
-    """The areas of the contours' parts on either side of momentum pb,
-    shape (rows, 2) with the left part first, from one quadrature."""
-    halves = (x.reshape(-1, 5) for x in _halves(orb, pb))
-    return _area_of(params, np.repeat(E, 2), *halves).reshape(-1, 2)
+def _half_areas(params, E, halves: _Halves):
+    """The areas of the contours' ``halves`` at the energies E, shape
+    (rows, 3): the left half, the right half and the whole contour, each
+    with its parts added in segment order; every allowed segment of every
+    row goes into one quadrature."""
+    a, b, kind = (x.reshape(len(x), 10) for x in halves[:3])
+    part = np.where(kind > _FORBIDDEN, np.pi * (b - a), 0.0)
+    allowed = kind == _ALLOWED
+    if allowed.any():
+        Es = E[np.nonzero(allowed)[0]]
+        part[allowed] = turning_point_rows(
+            lambda r, p: np.pi - 2.0 * _angle_allowed(params, Es[r, None], p),
+            a[allowed], b[allowed])
+    run = np.cumsum(part, axis=1)
+    return np.column_stack([run[:, 4], np.cumsum(part[:, 5:], axis=1)[:, -1], run[:, -1]])
 
 
-def _lobe(params, orb: _Contour, lobe):
-    """(a, b, kind) of the segments a lobe covers, one row per contour:
-    "left" and "right" the half of a two-component contour on that side
-    of the barrier, "auto" (one component) and "total" the whole contour
-    cut at the barrier; above the barrier the saddle's log singularity
-    lies inside the contour, and the cut puts it at a segment end.  Raises
-    ``GeometryError`` where a contour does not suit the lobe."""
+def _lobe(orb: _Contour, lobe):
+    """The column of ``_half_areas`` and ``_half_periods`` that is a lobe:
+    "left" and "right" the half of a two-component contour on that side of
+    the barrier, "auto" (one component) and "total" the whole contour.
+    Raises ``GeometryError`` where a contour does not suit the lobe."""
     if lobe not in ("auto", "total", "left", "right"):
         raise ValueError(f"lobe must be auto/total/left/right, got {lobe!r}")
     ncomp = _ncomp(orb) if lobe != "total" else ()
@@ -320,26 +339,7 @@ def _lobe(params, orb: _Contour, lobe):
         raise GeometryError("two disconnected orbits at this energy; pick lobe='left' or 'right'")
     if lobe in ("left", "right") and np.any(ncomp != 2):
         raise GeometryError(f"expected two orbit components, found {ncomp[ncomp != 2][0]}")
-    halves = _halves(orb, _context(params).p_barr)
-    if lobe in ("left", "right"):
-        return tuple(x[:, int(lobe == "right")] for x in halves)
-    return tuple(x.reshape(len(x), 10) for x in halves)
-
-
-def _area_of(params, E, a, b, kind):
-    """Area of the sublevel set over each row's allowed and open segments,
-    row i at energy E[i]; the parts add up in segment order, and every
-    allowed segment of every row goes into one quadrature."""
-    live = kind > _FORBIDDEN
-    owner = np.nonzero(live)[0]
-    a, b, allowed = a[live], b[live], kind[live] == _ALLOWED
-    part = np.pi * (b - a)
-    if allowed.any():
-        Es = E[owner[allowed]]
-        part[allowed] = turning_point_rows(
-            lambda r, p: np.pi - 2.0 * _angle_allowed(params, Es[r, None], p),
-            a[allowed], b[allowed])
-    return np.bincount(owner, part, minlength=len(E))
+    return {"left": 0, "right": 1}.get(lobe, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,9 @@ def action(params: ModelParams, E, lobe="auto"):
     if lobe in ("auto", "total"):
         out[top] = 2.0 * np.pi * params.Ns * params.hbar
     mid = (Er > info.e_min_lower + 1e-14 * scale) & ~top
-    out[mid] = _area_of(params, Er[mid], *_lobe(params, _orbit(params, Er[mid]), lobe))
+    orb = _orbit(params, Er[mid])
+    col = _lobe(orb, lobe)
+    out[mid] = _half_areas(params, Er[mid], _halves(params, Er[mid], orb))[:, col]
     return shaped(out)
 
 
@@ -386,7 +388,7 @@ def period_direct(params: ModelParams, E, lobe="auto"):
     if np.ndim(E) == 0 and sep[0]:
         raise SeparatrixError("period diverges on the separatrix")
     out = np.full(len(Er), np.inf)
-    out[~sep] = _period(params, _orbit(params, Er[~sep]), lobe)
+    out[~sep] = _period(params, Er[~sep], _orbit(params, Er[~sep]), lobe)
     return shaped(out)
 
 
@@ -397,16 +399,14 @@ def _agm(x, y):
     return x
 
 
-def _period(params: ModelParams, orb: _Contour, lobe):
-    """The period of each contour's ``lobe`` (see ``_lobe``): the number of
-    allowed segments it covers times pi hbar / ``_cycle_agm``.  The real
-    cycles are homologous, so a row's allowed segments share one value."""
-    a, b, kind = _lobe(params, orb, lobe)
-    # A segment that the cut at the barrier splits counts once.
-    count = ((kind == _ALLOWED) & (b > a)).reshape(len(kind), -1, 5).any(axis=1).sum(axis=1)
-    if not count.all():
+def _period(params: ModelParams, E, orb: _Contour, lobe):
+    """The period of the ``lobe`` of the contours ``orb`` at the energies E,
+    from ``_half_periods``; raises ``GeometryError`` without an allowed segment."""
+    col = _lobe(orb, lobe)
+    out = _half_periods(params, orb, _halves(params, E, orb))[:, col]
+    if np.isnan(out).any():
         raise GeometryError("no classically allowed momenta at this energy")
-    return count * (np.pi * params.hbar / _cycle_agm(params, orb))
+    return out
 
 
 def _cycle_agm(params: ModelParams, orb: _Contour):
@@ -448,29 +448,31 @@ def _rf(x, y, z):
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
 
 
-def _half_periods(params: ModelParams, orb: _Contour, pb):
-    """dS/dE of the contours' parts on either side of momentum pb, the
-    slopes of ``_half_areas``: shape (rows, 2) with the left part first,
-    summing to ``_period(..., "total")``.  Every allowed segment wholly on
-    one side adds the complete integral pi hbar / ``_cycle_agm``; a segment
-    [a, b] that pb splits at c = pb/(hbar*Ns) in s adds hbar times the
-    incomplete integral J of ds/sqrt|P| from a to c on the left and the
-    rest on the right.  With the roots of P = lead prod(s - r_i), r_1 = a,
-    and f_i = |s - r_i| for a real root and s - r_i for a complex one,
-    J = 2 sqrt(c-a) R_F(f_2(c) f_3(a) f_4(a), f_3(c) f_2(a) f_4(a),
-    f_4(c) f_2(a) f_3(a)) / sqrt|lead| (DLMF 19.29.4 with Y_1 = 0).  NaN on a
-    row without an allowed segment, and where a split segment lies on a
-    row of lower degree."""
-    allowed = orb.kind == _ALLOWED
+def _half_periods(params: ModelParams, orb: _Contour, halves: _Halves):
+    """dS/dE of the contours' ``halves``, the slopes of ``_half_areas``:
+    shape (rows, 3), the left half, the right half and the whole contour.
+    Every allowed segment adds the complete integral pi hbar /
+    ``_cycle_agm`` to the whole and to a half it lies in alone (the real
+    cycles are homologous, so a row's allowed segments share one value); a
+    segment [a, b] in both halves, which the cut splits at c in s =
+    p/(hbar*Ns), adds hbar times the incomplete integral J of ds/sqrt|P|
+    from a to c on the left and the rest on the right.  With the roots of
+    P = lead prod(s - r_i), r_1 = a, and f_i = |s - r_i| for a real root
+    and s - r_i for a complex one, J = 2 sqrt(c-a) R_F(f_2(c) f_3(a) f_4(a),
+    f_3(c) f_2(a) f_4(a), f_4(c) f_2(a) f_3(a)) / sqrt|lead| (DLMF 19.29.4
+    with Y_1 = 0).  NaN on a row without an allowed segment, and where a
+    split segment lies on a row of lower degree."""
+    allowed = (halves.kind == _ALLOWED) & (halves.b > halves.a)
+    split = allowed.all(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):  # meaningless without an allowed segment
         full = np.pi * params.hbar / _cycle_agm(params, orb)
-    split = allowed & (orb.a < pb) & (pb < orb.b)
-    left = (allowed & (orb.b <= pb)).sum(axis=1) * full
-    right = (allowed & (orb.a >= pb)).sum(axis=1) * full
+    alone = allowed & ~split[:, None]
+    out = np.column_stack([*alone.sum(axis=2).T, allowed.any(axis=1).sum(axis=1)]) * full[:, None]
     rows = np.flatnonzero(split.any(axis=1))
     if rows.size:
         scale = params.hbar * params.Ns
-        a, c = orb.a[rows, np.argmax(split[rows], axis=1)][:, None] / scale, pb / scale
+        seg = np.argmax(split[rows], axis=1)
+        a, c = (x[rows, 0, seg][:, None] / scale for x in (halves.a, halves.b))
         # The root at a comes first, then the other three in any order.
         r = orb.roots[rows]
         r = np.take_along_axis(r, np.argsort(np.abs(r - a), axis=1), axis=1)
@@ -479,14 +481,13 @@ def _half_periods(params: ModelParams, orb: _Contour, pb):
         sign = np.where(real & (r.real > a), -1.0, 1.0)
         fa, fc = ((sign * (x - r))[:, 1:] for x in (a, c))
         with np.errstate(invalid="ignore"):
-            j = 2.0 * np.sqrt((c - a[:, 0]) / np.abs(orb.lead[rows])) * _rf(
+            j = 2.0 * np.sqrt((c[:, 0] - a[:, 0]) / np.abs(orb.lead[rows])) * _rf(
                 fc[:, 0] * fa[:, 1] * fa[:, 2], fc[:, 1] * fa[:, 0] * fa[:, 2],
                 fc[:, 2] * fa[:, 0] * fa[:, 1]).real
         half = params.hbar * j
-        left[rows] += half
-        right[rows] += full[rows] - half
-    out = np.stack([left, right], axis=1)
-    out[~allowed.any(axis=1)] = np.nan
+        out[rows, 0] += half
+        out[rows, 1] += full[rows] - half
+    out[~allowed.any(axis=(1, 2))] = np.nan
     return out
 
 

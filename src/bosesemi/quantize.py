@@ -8,12 +8,13 @@ two-region connection condition
 with kappa the barrier transmission factor and Sphi the connection
 phase.  At the barrier top the tunneling action vanishes (kappa = 1,
 Sphi = 0), the parabolic-barrier limit, so a level may sit there.
-Wherever the upper lobe is empty (Sr = 0, kappa = 0, Sphi = 0) the
-condition reduces to the plain rule S = 2 pi hbar (n + 1/2): up to the
-upper well minimum, wherever that lobe is still too narrow to resolve,
-and at every energy of a single well, which is the landscape without an
-upper lobe.  Writing the condition as Sl + Sr + Sphi = 2 pi k +- alpha(E)
-with alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2)) turns root finding
+Wherever the upper lobe is empty (its half of the contour holds
+nothing, kappa = 0, Sphi = 0) the condition reduces to the plain rule
+S = 2 pi hbar (n + 1/2): up to the upper well minimum, wherever that
+lobe is still too narrow to resolve, and at every energy of a single
+well, which is the landscape without an upper lobe.  Writing the
+condition as Sl + Sr + Sphi = 2 pi k +- alpha(E) with
+alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2)) turns root finding
 into bracketing of the branches psi -+ alpha, non-decreasing in E but
 for a drop where the upper lobe opens, which resolves the
 near-degenerate tunneling doublets a naive sign scan of the condition
@@ -158,11 +159,10 @@ def quantize_single(params: ModelParams, n: int) -> float:
 
     def f(E, rows):
         orb = act._orbit(params, E)
-        try:
-            slope = act._period(params, orb, "total")
-        except act.GeometryError:  # a sliver orbit, with no allowed segment to time
-            slope = np.nan
-        return act._area_of(params, E, *act._lobe(params, orb, "total")) - target, slope
+        halves = act._halves(params, E, orb)
+        # A sliver orbit, with no allowed segment to time, has a NaN slope.
+        return (act._half_areas(params, E, halves)[:, 2] - target,
+                act._half_periods(params, orb, halves)[:, 2])
 
     # S is exactly 0 at e_min and 2 pi hbar Ns at e_max; the orbits right
     # at the ends are too small to integrate at full precision.  A bracket
@@ -204,29 +204,27 @@ def _dw_eval(params: ModelParams, E, slope=False):
 
     psi = Sl + Sr + Sphi and alpha = arccos(-cos(Sl - Sr)/sqrt(1 + kappa^2));
     roots sit at psi = 2 pi k +- alpha.  Every term comes from one contour
-    record cut at the barrier momentum (a single well's is the rim).  Where
-    the record's upper lobe is empty (``actions._upper_empty``: at or below
-    the upper minimum, a sliver above it, and every single-well energy)
-    Sr = 0 with the whole area in Sl, and kappa = 0.  The slopes are read
-    from the same record (``_dw_slope``).
+    record, Sl and Sr from its left and right halves (``actions._halves``).
+    Where the upper lobe is empty its half holds nothing and kappa = 0, so
+    the whole area is Sl, or Sr with the upper minimum on the left: the
+    condition, even in Sl - Sr, does not tell them apart.  The slopes are
+    read from the same record (``_dw_slope``).
     """
     info = act._context(params)
     Er, shaped = act._rows(E)
     orb = act._orbit(params, Er)
-    empty = act._upper_empty(info, Er, orb)
-    area = act._half_areas(params, Er, orb, info.p_barr)
-    sl = np.where(empty, area[:, 0] + area[:, 1], area[:, 0]) / (2.0 * params.hbar)
-    sr = np.where(empty, 0.0, area[:, 1]) / (2.0 * params.hbar)
-    two, s_eps, kappa = ~empty, np.zeros(len(Er)), np.zeros(len(Er))
+    halves = act._halves(params, Er, orb)
+    sl, sr = (act._half_areas(params, Er, halves)[:, :2] / (2.0 * params.hbar)).T
+    two, s_eps, kappa = ~halves.empty, np.zeros(len(Er)), np.zeros(len(Er))
     if two.any():
         s_eps[two], kappa[two] = act._tunneling(params, info, Er[two], orb._make(x[two] for x in orb))
     out = (sl + sr + act.phase_correction(s_eps), _stable_alpha(sl - sr, kappa))
     if slope:
-        out += _dw_slope(params, info, Er, orb, empty, sl - sr, s_eps, kappa)
+        out += _dw_slope(params, info, Er, orb, halves, sl - sr, s_eps, kappa)
     return tuple(shaped(x) for x in out)
 
 
-def _dw_slope(params, info, Er, orb, empty, delta, s_eps, kappa):
+def _dw_slope(params, info, Er, orb, halves, delta, s_eps, kappa):
     """(psi', alpha') at the energies Er from their contour record ``orb``.
 
     (Sl + Sr)' is the total period over 2 hbar, and the lobes' slopes are
@@ -243,10 +241,9 @@ def _dw_slope(params, info, Er, orb, empty, delta, s_eps, kappa):
     leaves the period finite, so both slopes are NaN there, as on a row
     without a closed form.
     """
-    half = act._half_periods(params, orb, info.p_barr) / (2.0 * params.hbar)
-    d_psi = half[:, 0] + half[:, 1]
-    d_delta = np.where(empty, d_psi, half[:, 0] - half[:, 1])
-    two, d_eps = ~empty, np.zeros(len(Er))
+    half = act._half_periods(params, orb, halves) / (2.0 * params.hbar)
+    d_psi, d_delta = half[:, 0] + half[:, 1], half[:, 0] - half[:, 1]
+    two, d_eps = ~halves.empty, np.zeros(len(Er))
     if two.any():
         d_eps[two] = act._tunneling_slope(params, orb._make(x[two] for x in orb))
         d_psi[two] += act._phase_slope(s_eps[two]) * d_eps[two]

@@ -124,7 +124,7 @@ def classical_density(params: ModelParams, E, p):
     p, shaped = act._rows(p)
     if np.any((p <= lo.p) | (p >= hi.p)):
         raise ValueError("momentum outside the classically allowed interval")
-    return shaped(_weight(params, orb, p) / act._period(params, orb, "auto"))
+    return shaped(_weight(params, orb, p) / act._period(params, E, orb, "auto"))
 
 
 def action_phase(params: ModelParams, E, p):
@@ -146,7 +146,7 @@ def forbidden_tail(params: ModelParams, E, p):
     lo, hi = _orbit_interval(params, E, orb)
     p, shaped = act._rows(p)
     decay = _decay(params, E, orb, lo, hi, p)
-    weight = _weight(params, orb, p) / act._period(params, orb, "auto")
+    weight = _weight(params, orb, p) / act._period(params, E, orb, "auto")
     return shaped(0.5 * weight * np.exp(-2.0 * decay / params.hbar))
 
 

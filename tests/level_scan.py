@@ -1,11 +1,12 @@
 """Level scan: the semiclassical spectrum at 226 fixed parameter points,
-to compare two checkouts level by level.
+or at 300 seeded random ones, to compare two checkouts level by level.
 
-    PYTHONPATH=src python tests/level_scan.py OUT.json
+    PYTHONPATH=src python tests/level_scan.py [--draws] OUT.json
         writes each point's levels (as ``repr`` floats), region and
         orbit-class labels, or the text of the exception it raised, and
         the work it took: the calls of the connection condition
         (``quantize._dw_eval``) and the energies they evaluated (rows);
+        with ``--draws`` the points are DRAWS instead of POINTS;
     python tests/level_scan.py A.json B.json
         prints the worst level change in mean level spacings next to both
         scans' total condition calls and rows, the label
@@ -18,8 +19,11 @@ The package is imported from PYTHONPATH, so the same script scans any
 checkout; without it, the ``src`` next to this file is used.  The
 points are N in {5, 10, 20, 40} x g*Ns in {-0.5, -1.2, -3, -6, -12} x
 11 biases in [-2.5, 2.5], plus six larger or hand-picked ones; a scan
-takes a few seconds.  The name has no ``test_`` prefix, so pytest does
-not collect it.
+takes a few seconds.  The draws are 300 points from
+``np.random.default_rng(2026)``, each taking N = ``integers(1, 501)``,
+g*Ns = ``uniform(-12, 0)`` and eps = ``uniform(-3, 3)`` in that order; a
+scan of them takes about a minute.  The name has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 import json
@@ -35,10 +39,13 @@ POINTS = [(N, g_ns, float(eps)) for N in (5, 10, 20, 40)
           for eps in np.linspace(-2.5, 2.5, 11)] + \
     [(200, -3.0, 0.3), (400, -3.0, 0.6), (80, -3.0, 0.7), (100, -0.6, 0.6), (80, -3.0, 0.8237),
      (200, -6.0, 0.31757286071777335)]
+_RNG = np.random.default_rng(2026)
+DRAWS = [(int(_RNG.integers(1, 501)), float(_RNG.uniform(-12.0, 0.0)), float(_RNG.uniform(-3.0, 3.0)))
+         for _ in range(300)]
 SHIFT = 1e-13  # the absolute energy shift of the label stability check
 
 
-def scan():
+def scan(points):
     from bosesemi import quantize
     from bosesemi.actions import turning_points
     from bosesemi.model import ModelParams
@@ -46,7 +53,7 @@ def scan():
     rows, real = [], quantize._dw_eval
     quantize._dw_eval = lambda p, E, **k: rows.append(np.size(E)) or real(p, E, **k)
     out = {}
-    for N, g_ns, eps in POINTS:
+    for N, g_ns, eps in points:
         params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
         rows.clear()
         try:
@@ -119,10 +126,12 @@ def compare(a, b):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 2:
-        Path(sys.argv[1]).write_text(json.dumps(scan(), indent=1) + "\n")
-    elif len(sys.argv) == 3:
-        a, b = (json.loads(Path(f).read_text()) for f in sys.argv[1:])
+    draws = sys.argv[1:2] == ["--draws"]
+    args = sys.argv[1 + draws:]
+    if len(args) == 1:
+        Path(args[0]).write_text(json.dumps(scan(DRAWS if draws else POINTS), indent=1) + "\n")
+    elif len(args) == 2 and not draws:
+        a, b = (json.loads(Path(f).read_text()) for f in args)
         sys.exit(1 if compare(a, b) else 0)
     else:
         sys.exit(__doc__)

@@ -15,6 +15,11 @@ The groups:
     period        ``period_direct(lobe="total")`` at 75 energies inside
                   the classical range at (N, g*Ns, eps) = (20, -3, 0.5),
                   (100, -0.6, 0.6) and (400, -3, 1);
+    action        ``action(lobe="total")`` at the same energies, and
+                  ``"left"`` and ``"right"`` at 7 even energies strictly
+                  between the upper well minimum and the barrier top,
+                  where the contour has two components (a single well
+                  has none, and hashes the GeometryError text);
     primitive     the primitive wavefunction (kind, energy and values)
                   at the parameter sets and states of the benchmark's
                   ``states`` workload, each state built without an energy;
@@ -102,9 +107,19 @@ def hashes():
     from bosesemi import quantum as qm
     from bosesemi import wavefun as wf
 
+    def energies(params):
+        return np.linspace(*act.classical_range(params), 77)[1:-1]
+
     def period(params):
-        e_min, e_max = act.classical_range(params)
-        return act.period_direct(params, np.linspace(e_min, e_max, 77)[1:-1], lobe="total")
+        return act.period_direct(params, energies(params), lobe="total")
+
+    def area(params):
+        return act.action(params, energies(params), lobe="total")
+
+    def lobes(params):
+        info = act.barrier(params)
+        es = np.linspace(info.e_min_upper, info.e_barr, 9)[1:-1]
+        return [act.action(params, es, lobe=lobe) for lobe in ("left", "right")]
 
     def state(build, params, n):
         w = build(params, n)
@@ -139,6 +154,8 @@ def hashes():
     groups = {
         "fixed_points": fixed_points,
         "period": lambda: [_outcome(period, _params(*point)) for point in PERIOD_POINTS],
+        "action": lambda: [(_outcome(area, _params(*point)), _outcome(lobes, _params(*point)))
+                           for point in PERIOD_POINTS],
         "primitive": lambda: states(wf.primitive_wavefunction),
         "uniform": lambda: states(wf.uniform_wavefunction, uniform_only=True),
         "trajectory": trajectories,

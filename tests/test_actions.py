@@ -220,6 +220,23 @@ def test_lobe_area_needs_two_components():
             act.period_direct(p, E, lobe=lobe)
 
 
+def test_empty_upper_lobe_is_never_integrated():
+    # At the upper well minimum the upper lobe is empty, but roundoff
+    # splits its double root into an allowed sliver 7e-5 wide (above the
+    # record's 1e-7 p_max sliver rule).  That sliver's half of the split
+    # holds nothing, so the total area and period there continue those one
+    # ulp below: the area to 1.2e-15, the period to 3.2e-8, the precision
+    # of the roots next to a double root.  Integrating the sliver raised
+    # QuadratureError, and counting it doubled the period.
+    p = ModelParams(N=441, eps=-1.8302284486756182, v=1.0, g=-3.9478642751681967 / 442)
+    E = act.barrier(p).e_min_upper
+    assert E == -1048.9055845563616
+    below = np.nextafter(E, -np.inf)
+    assert act.action(p, E, "total") == pytest.approx(act.action(p, below, "total"), rel=1e-12, abs=0)
+    assert act.period_direct(p, E, "total") == pytest.approx(
+        act.period_direct(p, below, "total"), rel=1e-7, abs=0)
+
+
 def test_action_monotone_on_benchmark_sets():
     for params in BENCH_SETS:
         e_min, e_max = act.classical_range(params)
@@ -233,8 +250,10 @@ def test_lobe_phases_sum_to_total():
     # barrier; below it the two halves are the lobes ``action`` picks.
     info = act.barrier(SUPER21)
     es = np.array([-60.0, -45.0, -30.0, info.e_barr + 1e-6 * SUPER21.energy_scale()])
-    halves = act._half_areas(SUPER21, es, act._orbit(SUPER21, es), info.p_barr)
-    assert halves.sum(axis=1) == pytest.approx(act.action(SUPER21, es, "total"), rel=1e-9)
+    orb = act._orbit(SUPER21, es)
+    halves = act._half_areas(SUPER21, es, act._halves(SUPER21, es, orb))
+    assert np.array_equal(halves[:, 2], act.action(SUPER21, es, "total"))
+    assert halves[:, :2].sum(axis=1) == pytest.approx(halves[:, 2], rel=1e-15)
     assert halves[:, 0] == pytest.approx(halves[:, 1], rel=1e-9)  # symmetric wells
     left, right = (act.action(SUPER21, -60.0, lobe) for lobe in ("left", "right"))
     assert left + right == pytest.approx(act.action(SUPER21, -60.0, "total"), rel=1e-9)
@@ -267,8 +286,11 @@ def _component_areas(params, E):
     ids = np.where(live, comp, 99)
     first = ids.min(axis=1, keepdims=True)
     second = np.where(live & (comp > first), comp, 99).min(axis=1, keepdims=True)
-    return [act._area_of(params, E, orb.a, orb.b,
-                         np.where(live & (comp == c), orb.kind, act._EMPTY))
+    # Each component alone, as the left half of an uncut record.
+    a, b = (np.stack([x, x], axis=1) for x in (orb.a, orb.b))
+    alone = lambda c: np.stack([np.where(live & (comp == c), orb.kind, act._EMPTY),
+                                np.full_like(orb.kind, act._EMPTY)], axis=1)
+    return [act._half_areas(params, E, act._Halves(a, b, alone(c), None))[:, 0]
             for c in (first, second)]
 
 
@@ -281,7 +303,8 @@ def test_barrier_cut_is_the_component_split(N, g_ns, eps):
     es = np.linspace(info.e_min_upper, info.e_barr, 202)[1:-1]
     es = es[act._ncomp(act._orbit(params, es)) == 2]
     assert es.size >= 190
-    halves = act._half_areas(params, es, act._orbit(params, es), info.p_barr)
+    orb = act._orbit(params, es)
+    halves = act._half_areas(params, es, act._halves(params, es, orb))
     oracle = _component_areas(params, es)
     assert np.array_equal(halves[:, 0], oracle[0])
     assert np.array_equal(halves[:, 1], oracle[1])
@@ -496,11 +519,15 @@ def test_half_periods_against_the_mpmath_oracle(N, g_ns, eps):
     # period.
     params = ModelParams(N=N, eps=eps, v=1.0, g=g_ns / (N + 1))
     info, es = act.barrier(params), _two_lobe_energies(params)
-    half = act._half_periods(params, act._orbit(params, es), info.p_barr)
+    orb = act._orbit(params, es)
+    half = act._half_periods(params, orb, act._halves(params, es, orb))
     left = [left_period_mp(params, e, info.p_barr) for e in es]
     assert half[:, 0] == pytest.approx(left, rel=1e-13, abs=0)
-    assert half.sum(axis=1) == pytest.approx([period_mp(params, e) for e in es], rel=1e-13, abs=0)
-    single = [act._half_periods(params, act._orbit(params, e), info.p_barr) for e in es]
+    total = [period_mp(params, e) for e in es]
+    assert half[:, :2].sum(axis=1) == pytest.approx(total, rel=1e-13, abs=0)
+    assert half[:, 2] == pytest.approx(total, rel=1e-13, abs=0)
+    single = [act._half_periods(params, o, act._halves(params, e, o))
+              for e, o in ((e, act._orbit(params, e)) for e in es)]
     assert np.array_equal(np.concatenate(single), half)
 
 
@@ -544,14 +571,14 @@ def test_period_fd_vs_direct():
     (-3.0, 0.5, 0.6, "III")])
 def test_period_is_the_slope_of_the_total_action(hbar, g_ns, eps, frac, region):
     # quantize_single takes Newton steps on action(lobe="total") with
-    # _period(orb, "total") of the same contour record as the slope: that
+    # _period(E, orb, "total") of the same contour record as the slope: that
     # is dS/dE itself at either hbar, not dS/dE / hbar (measured within
     # 6e-12 relative of the extrapolated central differences).
     p = ModelParams(N=20, eps=eps, v=1.0, g=g_ns / 21.0, hbar=hbar)
     e_min, e_max = act.classical_range(p)
     E = e_min + frac * (e_max - e_min)
     assert act.turning_points(p, E).region == region
-    slope = act._period(p, act._orbit(p, E), "total")[0]
+    slope = act._period(p, E, act._orbit(p, E), "total")[0]
     assert slope == pytest.approx(period_fd(p, E, lobe="total"), rel=1e-10)
     assert slope == act.period_direct(p, E, lobe="total")
 

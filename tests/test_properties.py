@@ -39,10 +39,12 @@ def test_semiclassical_spectrum_tracks_exact(N, g_ns, eps, v):
 @given(N=st.integers(100, 400),
        g_ns=st.floats(-12.0, -0.5),
        eps=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)))
+@example(N=441, g_ns=-3.9478642751681967, eps=-1.8302284486756182)
 def test_semiclassical_spectrum_tracks_exact_at_large_n(N, g_ns, eps):
     # Large N, where roundoff splits the double roots at the well minima
-    # into slivers the contour must not count as orbits; the assertions
-    # are those of the test above.
+    # into slivers the contour must not count as orbits (at the example, a
+    # sliver in the upper lobe's half at the grid point e_min_upper); the
+    # assertions are those of the test above.
     test_semiclassical_spectrum_tracks_exact.hypothesis.inner_test(N, g_ns, eps, 1.0)
 
 
@@ -122,6 +124,7 @@ def test_newton_level_near_the_rim_matches_the_slope_free_level():
 @example(N=1, g_ns=-3.0, eps=0.2)
 @example(N=10, g_ns=-3.0, eps=1.05)
 @example(N=20, g_ns=-3.0, eps=1.5)
+@example(N=441, g_ns=-3.9478642751681967, eps=-1.8302284486756182)
 def test_phase_grid_branches_do_not_drop(N, g_ns, eps):
     # The N+1-point grid brackets every level only because neither branch
     # psi -+ alpha decreases between neighbours.  The interval from the

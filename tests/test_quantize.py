@@ -368,22 +368,23 @@ def test_single_level_without_a_finite_slope_takes_illinois_steps(monkeypatch, w
     # Every slope comes from one contour record: at the barrier top, where
     # the period diverges (an infinite one stands in for it here, since the
     # AGM at the computed e_barr is 1.5e8), and on a sliver orbit, where
-    # _period raises GeometryError.  Without a finite slope quantize_single
-    # takes Illinois steps, bit for bit: its levels and contour rows are
-    # those of the slope-free refiner with the one-ulp stop rule.
+    # _half_periods is NaN and period_direct raises GeometryError.  Without
+    # a finite slope quantize_single takes Illinois steps, bit for bit: its
+    # levels and contour rows are those of the slope-free refiner with the
+    # one-ulp stop rule.
     p = ModelParams(N=20, eps=0.0, v=1.0, g=-3.0 / 21.0)
     e_min, e_max = act.classical_range(p)
-    sliver = act._orbit(p, e_min + 1e-14 * (e_max - e_min))
+    e_sliver = e_min + 1e-14 * (e_max - e_min)
+    sliver = act._orbit(p, e_sliver)
     with pytest.raises(act.GeometryError):
-        act._period(p, sliver, "total")
-    real_period = act._period
+        act.period_direct(p, e_sliver, "total")
+    sliver_periods = act._half_periods(p, sliver, act._halves(p, e_sliver, sliver))
+    assert np.isnan(sliver_periods).all()
 
-    def period(params, orb, lobe):
-        if where == "sliver":
-            return real_period(params, sliver, lobe)
-        return np.full(len(orb.lead), np.inf)
+    def half_periods(params, orb, halves):
+        return sliver_periods if where == "sliver" else np.full((len(orb.lead), 3), np.inf)
 
-    monkeypatch.setattr(act, "_period", period)
+    monkeypatch.setattr(act, "_half_periods", half_periods)
     real, rows = act.quartic_rows, []
     monkeypatch.setattr(act, "quartic_rows", lambda c: rows.append(len(c)) or real(c))
     s_max = 2.0 * np.pi * p.hbar * p.Ns
@@ -602,8 +603,8 @@ def _rhs_kappa_condition(params, E):
     """(psi, alpha) of the rejected variant that multiplies the right-hand
     cosine by the tunneling factor:
     sqrt(1 + kappa^2) cos(Sl + Sr + Sphi) = -kappa cos(Sl - Sr)."""
-    halves = act._half_areas(params, np.array([E]), act._orbit(params, E), act.barrier(params).p_barr)
-    left, right = halves[0] / (2.0 * params.hbar)
+    halves = act._halves(params, E, act._orbit(params, E))
+    left, right = act._half_areas(params, np.array([E]), halves)[0, :2] / (2.0 * params.hbar)
     s_eps, kappa = act.tunneling(params, E)
     psi = left + right + act.phase_correction(s_eps)
     if kappa > 1e150:
